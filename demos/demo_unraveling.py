@@ -1,14 +1,15 @@
 """Three stochastic unravelings of the same master equation.
 
-The nonlinear (collapse) SDE, the linear SDE, and its Stratonovich form
-are different pathwise processes with the same ensemble average.  This
-script runs a modest ensemble of each and compares the mean flavor
-probabilities against the exact closed form -- and shows the pathwise
-difference: collapse trajectories develop across-trajectory variance of
-the mass populations, while for the linear-unitary schemes the mass
-populations are pathwise frozen (up to discretization error).
+The nonlinear (collapse) SDE and the linear SDE are different pathwise
+processes with the same ensemble average; the linear SDE's Ito and
+Stratonovich forms share one exact pathwise solution.  This script runs a
+modest ensemble of each kind and compares the mean flavor probabilities
+against the exact closed form -- and shows the pathwise difference:
+collapse trajectories develop across-trajectory variance of the mass
+populations, while the linear trajectories are exactly unitary and
+mass-diagonal, so their mass populations stay frozen (sd exactly 0).
 
-Run:  python3 demos/demo_unraveling.py        (about half a minute)
+Run:  python3 demos/demo_unraveling.py        (about ten seconds)
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ from . import __version__
 from .core import (Grid, GridResolutionError, InvariantViolationError,
                    ModelParams, NormDivergenceError, ParameterError,
                    make_gaussian_state)
-from .integrators import (WORKERS_ENV, IntegratorSpec, run_ensemble)
+from .integrators import IntegratorSpec, resolve_workers, run_ensemble
 from .master_eq import (RECORD_COLUMNS, SuperoperatorKernel, dyson_expand,
                         flavor_record, me_flavor_probabilities,
                         transition_probability)
@@ -54,6 +54,9 @@ _SCHEMA = {
     "out": (str, None),
     "format": (str, "csv"),
 }
+
+# float keys that must be strictly positive; every float key must be finite
+_POSITIVE = ("dm", "m0", "rc", "alpha", "tmax", "dt", "eps", "grid_extent")
 
 
 def _parse_config_file(path):
@@ -101,8 +104,14 @@ def resolve_config(args):
                              % config["format"])
     if config["samples"] < 1:
         raise ParameterError("samples must be >= 1, got %d" % config["samples"])
-    if config["tmax"] <= 0:
-        raise ParameterError("tmax must be positive, got %g" % config["tmax"])
+    for key, (kind, _) in _SCHEMA.items():
+        value = config[key]
+        if kind is not float or value is None:
+            continue
+        if not np.isfinite(value):
+            raise ParameterError("%s must be finite, got %r" % (key, value))
+        if key in _POSITIVE and value <= 0:
+            raise ParameterError("%s must be positive, got %r" % (key, value))
     return config
 
 
@@ -141,13 +150,6 @@ def _sample_times(config, snap_dt=None):
             raise ParameterError("tmax=%g is below one step dt=%g"
                                  % (config["tmax"], snap_dt))
     return times
-
-
-def _workers():
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _config_lines(config, extra=()):
@@ -245,11 +247,12 @@ def run_ensemble_cmd(config):
     model = _build_model(config, params, grid)
     initial = make_gaussian_state(params, grid, "M0")
     spec = _ensemble_spec(config)
+    workers = resolve_workers(default=os.cpu_count() or 1)
     times = _sample_times(config, snap_dt=spec.dt)
     t_max = float(times[-1])
     result = run_ensemble(model, spec, initial, t_max, config["ntraj"],
                           config["seed"], sample_times=times,
-                          n_workers=_workers())
+                          n_workers=workers)
     _emit_record(config, result.to_transition_record(spec.kind))
     return 0
 
@@ -303,6 +306,7 @@ def run_compare(config):
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
     spec = _ensemble_spec(config)
+    workers = resolve_workers(default=os.cpu_count() or 1)
     times = _sample_times(config, snap_dt=spec.dt)
     exact = flavor_record(params, times, _model_label(config))
     me = me_flavor_probabilities(model, _initial_density(params, grid),
@@ -310,7 +314,7 @@ def run_compare(config):
     initial = make_gaussian_state(params, grid, "M0")
     result = run_ensemble(model, spec, initial, float(times[-1]),
                           config["ntraj"], config["seed"], sample_times=times,
-                          n_workers=_workers())
+                          n_workers=workers)
     ens = result.to_transition_record(spec.kind)
 
     rows = []

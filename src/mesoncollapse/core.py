@@ -53,6 +53,10 @@ class ModelParams:
     dim: int = 1
 
     def __post_init__(self):
+        for name in ("m0", "mH", "mL", "lam", "gamma", "rC", "alpha"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError("%s must be finite, got %g"
+                                     % (name, getattr(self, name)))
         if self.m0 <= 0:
             raise ParameterError("m0 must be positive, got %g" % self.m0)
         if not self.mH > self.mL:

@@ -4,16 +4,21 @@ Four drivers of the same physics:
 
 * ``ito-nonlinear`` -- Euler-Maruyama on the norm-preserving collapse SDE,
   with optional explicit renormalization each step;
-* ``ito-linear``    -- Euler-Maruyama on the linear SDE with anti-Hermitian
-  diffusion generator (pathwise unitary in the continuum limit);
-* ``stratonovich``  -- Heun (midpoint predictor) on the Stratonovich form;
+* ``ito-linear``    -- the linear SDE with anti-Hermitian diffusion
+  generator, pathwise unitary;
+* ``stratonovich``  -- its Stratonovich form;
 * ``wong-zakai``    -- classical RK4 on the ODE driven by mollified noise.
 
-All operators are diagonal in the position (x) mass basis, so every update
-is elementwise over (grid point, mass index) and broadcasts over leading
-batch axes.  Trajectories are embarrassingly parallel; the ensemble
-reduction is performed in fixed chunk order so results are independent of
-worker scheduling.
+All operators are diagonal in the position (x) mass basis and commute, so
+the two linear kinds -- one SDE written in two calculi -- share the exact
+pathwise solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)).
+``run_ensemble`` evaluates it at the sample times instead of stepping;
+``step_ito_linear`` (Euler-Maruyama) and ``step_stratonovich`` (Heun) remain
+as single-step reference schemes.  Every update is elementwise over
+(grid point, mass index) and broadcasts over leading batch axes.
+Trajectories are embarrassingly parallel; the ensemble reduction is
+performed in fixed chunk order so results are independent of worker
+scheduling.
 """
 
 import os
@@ -49,46 +54,41 @@ class IntegratorSpec:
         if self.kind not in INTEGRATOR_KINDS:
             raise ParameterError("unknown integrator kind %r (expected one of %s)"
                                  % (self.kind, list(INTEGRATOR_KINDS)))
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive, got %g" % self.dt)
+        if not 0 < self.dt < np.inf:
+            raise ParameterError("dt must be positive and finite, got %g" % self.dt)
         if (self.mollifier is not None) != (self.kind == "wong-zakai"):
             raise ParameterError(
                 "a mollifier must be given exactly for kind='wong-zakai'")
 
 
-def _expectations(amp, w, spacing):
-    """<A_i> of each channel; amp (..., n, 2), w (nc, n, 2) -> (..., nc)."""
-    prob = np.abs(amp) ** 2
-    norm2 = np.sum(prob, axis=(-2, -1), keepdims=False) * spacing
-    a = np.einsum("...nm,inm->...i", prob, w) * spacing
-    return a / norm2[..., None]
-
-
-def _norm(amp, spacing):
-    return np.sqrt(np.sum(np.abs(amp) ** 2, axis=(-2, -1)) * spacing)
-
-
 def _em_nonlinear(amp, model, dW, dt, renormalize=True):
-    """One Euler-Maruyama step of the nonlinear collapse SDE (batched)."""
-    w = model.channels
-    h = model.hamiltonian
+    """One Euler-Maruyama step of the nonlinear collapse SDE (batched).
+
+    Channel contractions are BLAS products against the (nc, n*2) channel
+    matrix.  The step factor is real apart from -i h dt, so the new norm
+    follows from |amp|^2 and |factor|^2 without a second pass over amp.
+    """
+    shape = amp.shape
+    w = model.channels.reshape(model.n_channels, -1)      # (nc, n*2)
     lam = model.effective_coupling
-    spacing = model.grid.spacing
-    a = _expectations(amp, w, spacing)                   # (..., nc)
-    field = np.einsum("...i,inm->...nm", dW, w, optimize=True) - np.sum(dW * a, axis=-1)[..., None, None]
-    bsq = (model.channel_square_sum()
-           - 2.0 * np.einsum("...i,inm->...nm", a, w)
-           + np.sum(a ** 2, axis=-1)[..., None, None])
-    factor = (1.0 - 1j * h * dt - 0.5 * lam * bsq * dt + np.sqrt(lam) * field)
-    out = amp * factor
-    norm = _norm(out, spacing)
-    ratio = norm / _norm(amp, spacing)
-    if np.any(np.abs(ratio - 1.0) > 0.1):
+    prob = (amp.real ** 2 + amp.imag ** 2).reshape(shape[:-2] + (-1,))
+    norm2 = np.sum(prob, axis=-1)
+    a = (prob @ w.T) / norm2[..., None]                   # <A_i>, (..., nc)
+    field = dW @ w - np.sum(dW * a, axis=-1)[..., None]
+    bsq = (model.channel_square_sum().reshape(-1) - 2.0 * (a @ w)
+           + np.sum(a ** 2, axis=-1)[..., None])
+    real = (1.0 - 0.5 * lam * dt * bsq + np.sqrt(lam) * field).reshape(shape)
+    hdt = model.hamiltonian * dt
+    new_norm2 = np.sum(prob.reshape(shape) * (real ** 2 + hdt ** 2),
+                       axis=(-2, -1))
+    ratio = np.sqrt(new_norm2 / norm2)
+    if not np.all(np.abs(ratio - 1.0) <= 0.1):
         raise NormDivergenceError(
             "norm changed by a factor %g in one step; reduce dt"
             % float(np.max(np.abs(ratio))))
+    out = amp * (real - 1j * hdt)
     if renormalize:
-        out = out / norm[..., None, None]
+        out /= np.sqrt(new_norm2 * model.grid.spacing)[..., None, None]
     return out
 
 
@@ -247,7 +247,7 @@ def _new_accumulators(n_times, n_points, store_density):
 
 def _run_chunk_sde(model, spec, amp0, n_steps, sample_steps, seed, indices,
                    store_density):
-    """Evolve one batch of trajectories with per-trajectory noise streams."""
+    """Euler-Maruyama batch of the nonlinear SDE, per-trajectory noise streams."""
     nc = model.n_channels
     spacing = model.grid.spacing
     proj = _flavor_projectors(model.grid)
@@ -262,15 +262,44 @@ def _run_chunk_sde(model, spec, amp0, n_steps, sample_steps, seed, indices,
     if 0 in sample_map:
         _accumulate(amp, spacing, proj, acc, sample_map[0], store_density)
     for k in range(n_steps):
-        if spec.kind == "ito-nonlinear":
-            amp = _em_nonlinear(amp, model, dw[:, k], spec.dt,
-                                renormalize=spec.renormalize)
-        elif spec.kind == "ito-linear":
-            amp = _em_linear(amp, model, dw[:, k], spec.dt)
-        else:
-            amp = _heun_stratonovich(amp, model, dw[:, k], spec.dt)
+        amp = _em_nonlinear(amp, model, dw[:, k], spec.dt,
+                            renormalize=spec.renormalize)
         if (k + 1) in sample_map:
             _accumulate(amp, spacing, proj, acc, sample_map[k + 1], store_density)
+    return acc
+
+
+def _run_chunk_exact(model, spec, amp0, n_steps, sample_steps, seed, indices,
+                     store_density):
+    """Linear kinds, solved pathwise at the sample times only.
+
+    psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
+    and the Stratonovich form alike, since H and every A_i are diagonal and
+    commute.  Each trajectory draws the same Philox increments a stepping
+    scheme would, but sums them one segment (between sample steps) at a time.
+    """
+    nc = model.n_channels
+    stops = np.unique(sample_steps)
+    sd = np.sqrt(spec.dt)
+    w = np.zeros((len(indices), stops.size, nc))          # W at each stop
+    for j, traj in enumerate(indices):
+        rng = path_generator(seed, traj)
+        total, done = np.zeros(nc), 0
+        for s, stop in enumerate(stops):
+            if stop > done:
+                total = total + rng.normal(0.0, sd, size=(stop - done, nc)).sum(axis=0)
+                done = stop
+            w[j, s] = total
+    channels = model.channels.reshape(nc, -1)
+    root_lam = np.sqrt(model.effective_coupling)
+    proj = _flavor_projectors(model.grid)
+    acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
+    for i, step in enumerate(sample_steps):
+        field = (w[:, np.searchsorted(stops, step)] @ channels).reshape(
+            (-1,) + amp0.shape)
+        phase = root_lam * field - model.hamiltonian * (step * spec.dt)
+        _accumulate(amp0 * np.exp(1j * phase), model.grid.spacing, proj, acc,
+                    i, store_density)
     return acc
 
 
@@ -311,18 +340,26 @@ def _run_chunk_wz(model, spec, amp0, n_steps, sample_steps, seed, indices,
     return acc
 
 
+_CHUNK_RUNNERS = {"ito-nonlinear": _run_chunk_sde, "ito-linear": _run_chunk_exact,
+                  "stratonovich": _run_chunk_exact, "wong-zakai": _run_chunk_wz}
+
+
 def _chunk_worker(args):
-    fn = _run_chunk_wz if args[1].kind == "wong-zakai" else _run_chunk_sde
-    return fn(*args)
+    return _CHUNK_RUNNERS[args[1].kind](*args)
 
 
-def _resolve_workers(n_workers):
+def resolve_workers(n_workers=None, default=1):
+    """Worker count: ``n_workers``, else $MESONCOLLAPSE_WORKERS, else ``default``."""
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
-    return 1
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError("%s must be an integer, got %r"
+                                 % (WORKERS_ENV, env)) from None
+    return default
 
 
 def run_ensemble(model, spec, initial, t_max, n_traj, seed,
@@ -361,7 +398,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
               int(seed), range(a, b), store_density)
              for a, b in zip(edges[:-1], edges[1:])]
-    workers = _resolve_workers(n_workers)
+    workers = resolve_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             partials = list(ex.map(_chunk_worker, tasks))

@@ -42,7 +42,8 @@ class TransitionRecord:
     def validate(self, tol=1e-9):
         total = self.p_same + self.p_other
         err = 3.0 * np.hypot(self.stderr_same, self.stderr_other) + tol
-        if np.any(np.abs(total - 1.0) > err):
+        # written so that a NaN anywhere fails the check
+        if not np.all(np.abs(total - 1.0) <= err):
             raise InvariantViolationError(
                 "p_same + p_other deviates from 1 by up to %g"
                 % float(np.max(np.abs(total - 1.0))))

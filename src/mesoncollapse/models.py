@@ -53,8 +53,13 @@ class CollapseModel:
         return self.coupling * self.channel_measure
 
     def channel_square_sum(self):
-        """sum_i A_i^2 diagonal, shape (n_points, 2)."""
-        return np.sum(self.channels ** 2, axis=0)
+        """sum_i A_i^2 diagonal, shape (n_points, 2), computed once per model."""
+        s2 = self.__dict__.get("_square_sum")
+        if s2 is None:
+            s2 = np.sum(self.channels ** 2, axis=0)
+            s2.setflags(write=False)
+            object.__setattr__(self, "_square_sum", s2)
+        return s2
 
 
 def build_hamiltonian(params):

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,35 @@ class TestExitCodes:
 
     def test_invalid_parameter_is_config_error(self):
         assert run_cli(["exact", "--lambda", "-1"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["exact", "--lambda", "nan"],
+        ["exact", "--tmax", "nan"],
+        ["exact", "--tmax", "inf"],
+        ["me", "--lambda", "inf"],
+        ["me", "--dt", "0"],
+        ["me", "--dt", "nan"],
+        ["ensemble", "--dt", "-0.01"],
+        ["theta-check", "--eps", "nan"],
+        ["exact", "--grid-extent", "0"],
+    ])
+    def test_non_finite_or_non_positive_is_config_error(self, args, tmp_path,
+                                                        capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(args + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()  # no NaN rows written
+
+    def test_bad_worker_env_is_config_error(self, monkeypatch, tmp_path,
+                                            capsys):
+        monkeypatch.setenv("MESONCOLLAPSE_WORKERS", "abc")
+        code = run_cli(["ensemble", "--tmax", "0.02", "--samples", "1",
+                        "--dt", "0.01", "--ntraj", "2", "--grid-points", "64",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "MESONCOLLAPSE_WORKERS" in capsys.readouterr().err
 
     def test_numerical_error_status(self, tmp_path):
         # CSL smearing unresolved by the grid -> numerical failure (1)

@@ -32,6 +32,12 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["m0", "mH", "lam", "gamma", "rC", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ParameterError):
+            ModelParams(**{name: value})
+
     def test_dm_derived(self):
         p = ModelParams(mH=2.25, mL=1.0)
         assert p.dm == pytest.approx(1.25)

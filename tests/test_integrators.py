@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mesoncollapse import (Grid, GridState, IntegratorSpec, Mollifier,
-                           ModelParams, ParameterError,
-                           UnderResolvedKernelError, build_qmupl,
+from mesoncollapse import (DensityBlocks, Grid, GridState, IntegratorSpec,
+                           Mollifier, ModelParams, ParameterError,
+                           UnderResolvedKernelError, build_csl, build_qmupl,
                            integrate_wong_zakai, make_gaussian_state,
                            mollify, qmupl_flavor_probabilities, run_ensemble,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
@@ -199,6 +199,58 @@ class TestRunEnsemble:
             state = step_ito_nonlinear(state, model, dw[k], dt)
         assert res.flavor_mean[0, 0] == pytest.approx(
             state.flavor_probability("M0"), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
+    def test_linear_kinds_equal_pathwise_exact_solution(self, kind):
+        """One trajectory is psi_0 exp(-iHt + i sqrt(lam) A W_t), with W_t
+        the summed increments of the trajectory's own noise stream."""
+        params, grid, model, state0 = qmupl_setup(lam=0.3)
+        dt, times = 0.01, np.array([0.2, 0.5])
+        res = run_ensemble(model, IntegratorSpec(kind, dt), state0, 0.5, 1,
+                           seed=21, sample_times=times, store_density=True)
+        dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
+                                          size=(50, model.n_channels))
+        w = np.cumsum(dw, axis=0)
+        for k, t in enumerate(times):
+            w_t = w[int(round(t / dt)) - 1]
+            field = np.einsum("i,inm->nm", w_t, model.channels)
+            exact = GridState(state0.amplitudes * np.exp(
+                -1j * model.hamiltonian * t + 1j * np.sqrt(0.3) * field), grid)
+            rho = DensityBlocks.from_state(exact).blocks
+            assert np.max(np.abs(res.mean_density[k].blocks - rho)) < 1e-12
+            assert res.flavor_mean[k, 0] == pytest.approx(
+                exact.flavor_probability("M0"), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
+    def test_linear_kinds_freeze_mass_populations(self, kind):
+        """Pathwise unitary and mass-diagonal: every trajectory keeps the
+        initial mass populations, so their variance is exactly zero."""
+        params, _, model, state0 = qmupl_setup(lam=0.5)
+        res = run_ensemble(model, IntegratorSpec(kind, 0.005), state0, 1.0,
+                           200, seed=14, n_samples=5)
+        assert np.all(res.mass_var == 0.0)
+        assert np.all(res.mass_mean == 0.5)
+
+    def test_linear_kinds_agree(self):
+        """Ito and Stratonovich forms of one SDE share one exact solution."""
+        params, _, model, state0 = qmupl_setup(lam=0.2)
+        a, b = (run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.5,
+                             20, seed=3) for kind in ("ito-linear", "stratonovich"))
+        assert np.array_equal(a.flavor_mean, b.flavor_mean)
+        assert np.array_equal(a.flavor_stderr, b.flavor_stderr)
+
+    @pytest.mark.parametrize("kind", ["stratonovich", "ito-nonlinear"])
+    def test_csl_deterministic_across_worker_counts(self, kind):
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(32, 8.0)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        kwargs = dict(t_max=0.1, n_traj=10, seed=5, n_samples=2, batch_size=4)
+        spec = IntegratorSpec(kind, 0.01)
+        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
+        b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
+        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_deterministic_across_worker_counts(self):
         params, _, model, state0 = qmupl_setup(lam=0.2)

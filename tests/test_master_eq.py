@@ -207,6 +207,15 @@ class TestTransitionRecord:
                              stderr_same=np.zeros(2), stderr_other=np.zeros(2),
                              source="exact-closed-form").validate()
 
+    def test_validate_catches_nan(self):
+        from mesoncollapse import TransitionRecord
+        t = np.array([0.0, 1.0])
+        with pytest.raises(InvariantViolationError):
+            TransitionRecord(times=t, p_same=np.array([0.5, np.nan]),
+                             p_other=np.array([0.5, np.nan]),
+                             stderr_same=np.zeros(2), stderr_other=np.zeros(2),
+                             source="exact-closed-form").validate()
+
     def test_with_decay(self):
         params = ModelParams(lam=0.1)
         record = flavor_record(params, np.array([0.0, 1.0, 2.0]), QMUPL)
