@@ -1,24 +1,23 @@
 """Trajectory-level time evolution and ensemble averaging.
 
-Four drivers of the same physics:
+Four drivers of the same physics: ``ito-nonlinear`` (the norm-preserving
+collapse SDE), ``ito-linear`` (the linear SDE, pathwise unitary),
+``stratonovich`` (its Stratonovich form) and ``wong-zakai`` (RK4 on the ODE
+driven by mollified noise).
 
-* ``ito-nonlinear`` -- Euler-Maruyama on the norm-preserving collapse SDE,
-  with optional explicit renormalization each step;
-* ``ito-linear``    -- the linear SDE with anti-Hermitian diffusion
-  generator, pathwise unitary;
-* ``stratonovich``  -- its Stratonovich form;
-* ``wong-zakai``    -- classical RK4 on the ODE driven by mollified noise.
-
-All operators are diagonal in the position (x) mass basis and commute, so
-the two linear kinds -- one SDE written in two calculi -- share the exact
-pathwise solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)).
-``run_ensemble`` evaluates it at the sample times instead of stepping;
-``step_ito_linear`` (Euler-Maruyama) and ``step_stratonovich`` (Heun) remain
-as single-step reference schemes.  Every update is elementwise over
-(grid point, mass index) and broadcasts over leading batch axes.
-Trajectories are embarrassingly parallel; the ensemble reduction is
-performed in fixed chunk order so results are independent of worker
-scheduling.
+H and every channel A_i are diagonal in the position (x) mass basis and
+commute.  So the two linear kinds -- one SDE in two calculi -- share the
+exact solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)), and
+by the linear/nonlinear (Girsanov) correspondence (Bassi, J. Phys. A 38,
+3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt + sqrt(lam) A.Y_t
+- lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
+``run_ensemble`` evaluates the linear solution at the sample times; for the
+collapse kind it steps only Y (nc reals per trajectory) and builds psi at
+the sample times, normalized by construction, so it never raises
+NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's one-step
+form; ``step_ito_linear`` (Euler-Maruyama, norm-checked) and
+``step_stratonovich`` (Heun) remain as single-step references.  Reductions
+run in fixed chunk order, so results do not depend on the worker count.
 """
 
 import os
@@ -30,8 +29,7 @@ import numpy as np
 from .core import (DensityBlocks, GridState, InvariantViolationError,
                    NormDivergenceError, ParameterError, flavor_to_mass)
 from .master_eq import TransitionRecord
-from .noise import (Mollifier, UnderResolvedKernelError, mollified_values,
-                    path_generator)
+from .noise import Mollifier, UnderResolvedKernelError, path_generator
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
@@ -40,6 +38,10 @@ WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
 # largest per-chunk noise buffer, used to size trajectory batches
 _MAX_NOISE_BYTES = 64 * 2 ** 20
 
+# <M0| and <M0bar| in the mass basis, shape (2 outcomes, 2 mass)
+_FLAVOR_PROJECTORS = np.conj([[v.cH, v.cL]
+                              for v in map(flavor_to_mass, ("M0", "M0bar"))])
+
 
 @dataclass(frozen=True)
 class IntegratorSpec:
@@ -47,7 +49,6 @@ class IntegratorSpec:
 
     kind: str
     dt: float
-    renormalize: bool = True
     mollifier: Mollifier = None
 
     def __post_init__(self):
@@ -61,35 +62,41 @@ class IntegratorSpec:
                 "a mollifier must be given exactly for kind='wong-zakai'")
 
 
-def _em_nonlinear(amp, model, dW, dt, renormalize=True):
-    """One Euler-Maruyama step of the nonlinear collapse SDE (batched).
+def _collapse_path(model, amp0, dw, dt, stops):
+    """Yield (step, psi up to normalization) for each step in ``stops``.
 
-    Channel contractions are BLAS products against the (nc, n*2) channel
-    matrix.  The step factor is real apart from -i h dt, so the new norm
-    follows from |amp|^2 and |factor|^2 without a second pass over amp.
+    Y_0 = 0 takes Euler-Maruyama steps dY = dW + 2 sqrt(lam) <A>_t dt, dw of
+    shape (B, steps, nc), with <A>_t weighted by |psi_t|^2 = |psi_0|^2
+    exp(2 sqrt(lam) A.Y - 2 lam A^2 t).  Entries where psi_0 = 0 drop out and
+    the log-weights are shifted by their maximum: no 0/0, no overflow.
     """
-    shape = amp.shape
-    w = model.channels.reshape(model.n_channels, -1)      # (nc, n*2)
+    nc = model.n_channels
     lam = model.effective_coupling
-    prob = (amp.real ** 2 + amp.imag ** 2).reshape(shape[:-2] + (-1,))
-    norm2 = np.sum(prob, axis=-1)
-    a = (prob @ w.T) / norm2[..., None]                   # <A_i>, (..., nc)
-    field = dW @ w - np.sum(dW * a, axis=-1)[..., None]
-    bsq = (model.channel_square_sum().reshape(-1) - 2.0 * (a @ w)
-           + np.sum(a ** 2, axis=-1)[..., None])
-    real = (1.0 - 0.5 * lam * dt * bsq + np.sqrt(lam) * field).reshape(shape)
-    hdt = model.hamiltonian * dt
-    new_norm2 = np.sum(prob.reshape(shape) * (real ** 2 + hdt ** 2),
-                       axis=(-2, -1))
-    ratio = np.sqrt(new_norm2 / norm2)
-    if not np.all(np.abs(ratio - 1.0) <= 0.1):
-        raise NormDivergenceError(
-            "norm changed by a factor %g in one step; reduce dt"
-            % float(np.max(np.abs(ratio))))
-    out = amp * (real - 1j * hdt)
-    if renormalize:
-        out /= np.sqrt(new_norm2 * model.grid.spacing)[..., None, None]
-    return out
+    root_lam = np.sqrt(lam)
+    flat = amp0.reshape(-1)
+    prob = flat.real ** 2 + flat.imag ** 2
+    on = prob > 0
+    unit = flat[on] / np.sqrt(prob[on])
+    h = np.broadcast_to(model.hamiltonian, amp0.shape).reshape(-1)[on]
+    a1 = np.vstack([model.channels.reshape(nc, -1)[:, on],
+                    np.ones(unit.size)])                 # rows [A_i; 1]
+    basis = np.vstack([a1[:nc], model.channel_square_sum().reshape(-1)[on],
+                       np.log(prob[on])]).T              # (support, nc + 2)
+    coef = np.zeros((nc + 2, dw.shape[0]))               # [2 sqrt(lam) Y; t; 1]
+    coef[-1] = 1.0
+    for k in range(max(stops, default=0) + 1):
+        if k > 0:
+            np.exp(log_w, out=log_w)
+            m = a1 @ log_w                               # [sum w A_i; sum w]
+            coef[:nc] += 2.0 * root_lam * (dw[:, k - 1].T
+                                           + 2.0 * root_lam * dt * m[:nc] / m[nc])
+        coef[-2] = -2.0 * lam * k * dt
+        log_w = basis @ coef                             # (support, B)
+        log_w -= log_w.max(axis=0)
+        if k in stops:
+            amp = np.zeros((dw.shape[0], flat.size), dtype=complex)
+            amp[:, on] = unit * np.exp(0.5 * log_w.T - 1j * k * dt * h)
+            yield k, amp.reshape((-1,) + amp0.shape)
 
 
 def _em_linear(amp, model, dW, dt):
@@ -102,44 +109,51 @@ def _em_linear(amp, model, dW, dt):
                   + 1j * np.sqrt(lam) * field)
 
 
-def _heun_stratonovich(amp, model, dW, dt):
-    """One Heun step of the Stratonovich SDE (batched).
-
-    For the commuting diagonal generator G = -iH dt + i sqrt(lam) A dW the
-    predictor-corrector pair collapses to amp * (1 + G + G^2/2).
-    """
-    h = model.hamiltonian
-    lam = model.effective_coupling
-    field = np.einsum("...i,inm->...nm", dW, model.channels, optimize=True)
-    g = -1j * h * dt + 1j * np.sqrt(lam) * field
-    return amp * (1.0 + g + 0.5 * g * g)
-
-
 def _check_normalized(state, tol=0.05):
     if abs(state.norm() - 1.0) > tol:
         raise InvariantViolationError("state norm %g is not 1" % state.norm())
 
 
-def step_ito_nonlinear(state, model, dW, dt, renormalize=True):
-    """Single Euler-Maruyama step of the nonlinear (collapse) SDE."""
+def step_ito_nonlinear(state, model, dW, dt):
+    """Single step of the nonlinear (collapse) SDE on its driving process.
+
+    psi <- psi exp(-iH dt + sqrt(lam) A dY - lam A^2 dt), normalized, with
+    dY = dW + 2 sqrt(lam) <A>_psi dt: the one-step form of ``run_ensemble``'s
+    scheme, so iterating it reproduces one trajectory.  Never raises
+    NormDivergenceError.
+    """
     _check_normalized(state)
-    amp = _em_nonlinear(state.amplitudes, model, np.asarray(dW, dtype=float),
-                        dt, renormalize=renormalize)
-    return GridState(amp, state.grid)
+    dw = np.asarray(dW, dtype=float).reshape(1, 1, -1)
+    (_, amp), = _collapse_path(model, state.amplitudes, dw, dt, {1})
+    return GridState(amp[0], state.grid).normalized()
 
 
 def step_ito_linear(state, model, dW, dt):
-    """Single Euler-Maruyama step of the linear SDE."""
+    """Single Euler-Maruyama step of the linear SDE.
+
+    The scheme does not preserve the norm; a step that changes it by more
+    than 10 % raises NormDivergenceError instead of blowing up silently.
+    """
     _check_normalized(state)
-    return GridState(_em_linear(state.amplitudes, model,
-                                np.asarray(dW, dtype=float), dt), state.grid)
+    amp = _em_linear(state.amplitudes, model, np.asarray(dW, dtype=float), dt)
+    ratio = np.sqrt(np.sum(np.abs(amp) ** 2) * state.grid.spacing) / state.norm()
+    if not abs(ratio - 1.0) <= 0.1:
+        raise NormDivergenceError(
+            "norm changed by a factor %g in one step; reduce dt" % ratio)
+    return GridState(amp, state.grid)
 
 
 def step_stratonovich(state, model, dW, dt):
-    """Single Heun step of the Stratonovich SDE."""
+    """Single Heun step of the Stratonovich SDE.
+
+    For the commuting diagonal generator G = -iH dt + i sqrt(lam) A dW the
+    predictor-corrector pair collapses to psi (1 + G + G^2/2).
+    """
     _check_normalized(state)
-    return GridState(_heun_stratonovich(state.amplitudes, model,
-                                        np.asarray(dW, dtype=float), dt), state.grid)
+    field = np.einsum("...i,inm->...nm", np.asarray(dW, dtype=float),
+                      model.channels, optimize=True)
+    g = -1j * model.hamiltonian * dt + 1j * np.sqrt(model.effective_coupling) * field
+    return GridState(state.amplitudes * (1.0 + g + 0.5 * g * g), state.grid)
 
 
 def _rk4_factorized(amp, m0, mh, m1, dt):
@@ -215,11 +229,6 @@ class EnsembleResult:
             source="ensemble-%s" % kind)
 
 
-def _flavor_projectors(grid):
-    vs = [flavor_to_mass("M0"), flavor_to_mass("M0bar")]
-    return np.array([[np.conj(v.cH), np.conj(v.cL)] for v in vs])  # (2 outcomes, 2 mass)
-
-
 def _accumulate(amp, spacing, proj, acc, idx, store_density):
     """Add this batch's observables at sample slot ``idx``."""
     norm2 = np.sum(np.abs(amp) ** 2, axis=(-2, -1)) * spacing      # (B,)
@@ -245,27 +254,30 @@ def _new_accumulators(n_times, n_points, store_density):
     return acc
 
 
+def _increments(seed, indices, n_steps, nc, dt):
+    """Each trajectory's Philox increments, shape (len(indices), n_steps, nc)."""
+    dw = np.empty((len(indices), n_steps, nc))
+    for j, traj in enumerate(indices):
+        dw[j] = path_generator(seed, traj).normal(0.0, np.sqrt(dt),
+                                                  size=(n_steps, nc))
+    return dw
+
+
+def _sample_slots(sample_steps):
+    """Sample step -> every output slot it fills (a time may repeat)."""
+    steps = np.asarray(sample_steps)
+    return {int(s): np.flatnonzero(steps == s) for s in np.unique(steps)}
+
+
 def _run_chunk_sde(model, spec, amp0, n_steps, sample_steps, seed, indices,
                    store_density):
-    """Euler-Maruyama batch of the nonlinear SDE, per-trajectory noise streams."""
-    nc = model.n_channels
-    spacing = model.grid.spacing
-    proj = _flavor_projectors(model.grid)
-    batch = len(indices)
-    dw = np.empty((batch, n_steps, nc))
-    for j, traj in enumerate(indices):
-        rng = path_generator(seed, traj)
-        dw[j] = rng.normal(0.0, np.sqrt(spec.dt), size=(n_steps, nc))
-    amp = np.broadcast_to(amp0, (batch,) + amp0.shape).copy()
+    """Nonlinear SDE on its driving process: nc reals per trajectory."""
     acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
-    sample_map = {s: i for i, s in enumerate(sample_steps)}
-    if 0 in sample_map:
-        _accumulate(amp, spacing, proj, acc, sample_map[0], store_density)
-    for k in range(n_steps):
-        amp = _em_nonlinear(amp, model, dw[:, k], spec.dt,
-                            renormalize=spec.renormalize)
-        if (k + 1) in sample_map:
-            _accumulate(amp, spacing, proj, acc, sample_map[k + 1], store_density)
+    slots = _sample_slots(sample_steps)
+    dw = _increments(seed, indices, n_steps, model.n_channels, spec.dt)
+    for k, amp in _collapse_path(model, amp0, dw, spec.dt, slots):
+        _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc, slots[k],
+                    store_density)
     return acc
 
 
@@ -292,14 +304,13 @@ def _run_chunk_exact(model, spec, amp0, n_steps, sample_steps, seed, indices,
             w[j, s] = total
     channels = model.channels.reshape(nc, -1)
     root_lam = np.sqrt(model.effective_coupling)
-    proj = _flavor_projectors(model.grid)
     acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
     for i, step in enumerate(sample_steps):
         field = (w[:, np.searchsorted(stops, step)] @ channels).reshape(
             (-1,) + amp0.shape)
         phase = root_lam * field - model.hamiltonian * (step * spec.dt)
-        _accumulate(amp0 * np.exp(1j * phase), model.grid.spacing, proj, acc,
-                    i, store_density)
+        _accumulate(amp0 * np.exp(1j * phase), model.grid.spacing,
+                    _FLAVOR_PROJECTORS, acc, i, store_density)
     return acc
 
 
@@ -311,32 +322,24 @@ def _run_chunk_wz(model, spec, amp0, n_steps, sample_steps, seed, indices,
     dt = spec.dt
     t_max = n_steps * dt
     nc = model.n_channels
-    spacing = model.grid.spacing
-    proj = _flavor_projectors(model.grid)
     # base increments cover all u with delta_eps(s - u) != 0, s in [0, t_max]
     u_lo = -hi
     n_base = int(np.ceil((t_max - lo - u_lo) / dt))
     t_mid = u_lo + (np.arange(n_base) + 0.5) * dt
     eval_times = 0.5 * dt * np.arange(2 * n_steps + 1)
     kernel = m.pdf(eval_times[:, None] - t_mid[None, :])           # (n_eval, n_base)
-    batch = len(indices)
-    dw = np.empty((batch, n_base, nc))
-    for j, traj in enumerate(indices):
-        rng = path_generator(seed, traj)
-        dw[j] = rng.normal(0.0, np.sqrt(dt), size=(n_base, nc))
+    dw = _increments(seed, indices, n_base, nc, dt)
     wdot = np.einsum("bki,ek->bei", dw, kernel, optimize=True)                    # (B, n_eval, nc)
-    amp = np.broadcast_to(amp0, (batch,) + amp0.shape).copy()
+    amp = np.broadcast_to(amp0, (len(indices),) + amp0.shape).copy()
     acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
-    sample_map = {s: i for i, s in enumerate(sample_steps)}
-    if 0 in sample_map:
-        _accumulate(amp, spacing, proj, acc, sample_map[0], store_density)
-    for k in range(n_steps):
-        g0 = _wz_generators(model, wdot[:, 2 * k])
-        gh = _wz_generators(model, wdot[:, 2 * k + 1])
-        g1 = _wz_generators(model, wdot[:, 2 * k + 2])
-        amp = _rk4_factorized(amp, g0, gh, g1, dt)
-        if (k + 1) in sample_map:
-            _accumulate(amp, spacing, proj, acc, sample_map[k + 1], store_density)
+    slots = _sample_slots(sample_steps)
+    for k in range(n_steps + 1):
+        if k in slots:
+            _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc,
+                        slots[k], store_density)
+        if k < n_steps:
+            gens = [_wz_generators(model, wdot[:, 2 * k + j]) for j in range(3)]
+            amp = _rk4_factorized(amp, *gens, dt)
     return acc
 
 
@@ -412,12 +415,8 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
 
     n = float(n_traj)
     def _mean_stderr(sum_, sq_):
-        mean = sum_ / n
-        if n > 1:
-            var = np.maximum(sq_ - sum_ ** 2 / n, 0.0) / (n - 1.0)
-        else:
-            var = np.zeros_like(sum_)
-        return mean, np.sqrt(var / n), var
+        var = np.maximum(sq_ - sum_ ** 2 / n, 0.0) / max(n - 1.0, 1.0)
+        return sum_ / n, np.sqrt(var / n), var
 
     flavor_mean, flavor_stderr, _ = _mean_stderr(total["flavor_sum"], total["flavor_sq"])
     mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass_sum"], total["mass_sq"])

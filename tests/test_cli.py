@@ -147,6 +147,20 @@ class TestExitCodes:
         assert any("verdict = PASS" in c for c in comments)
 
 
+    def test_compare_nonlinear_coarse_dt_finite(self, tmp_path):
+        """lam dt = 5: the collapse kind still runs to a verdict with
+        finite cells instead of failing on the step size."""
+        out = tmp_path / "cmp.csv"
+        code = run_cli(["compare", "--model", "qmupl", "--lambda", "50",
+                        "--tmax", "1.0", "--samples", "2", "--dt", "0.1",
+                        "--ntraj", "20", "--seed", "3", "--grid-points", "64",
+                        "--integrator", "ito-nonlinear", "--out", str(out)])
+        assert code in (0, 1)
+        _, _, rows = read_table(out)
+        assert len(rows) == 2
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row[:6])
+
+
 class TestThetaCheck:
 
     def test_sweep_approaches_half(self, tmp_path):

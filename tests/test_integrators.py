@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mesoncollapse import (DensityBlocks, Grid, GridState, IntegratorSpec,
-                           Mollifier, ModelParams, ParameterError,
-                           UnderResolvedKernelError, build_csl, build_qmupl,
-                           integrate_wong_zakai, make_gaussian_state,
+                           Mollifier, ModelParams, NormDivergenceError,
+                           ParameterError, UnderResolvedKernelError,
+                           build_csl, build_qmupl, integrate_wong_zakai,
+                           make_gaussian_state, me_flavor_probabilities,
                            mollify, qmupl_flavor_probabilities, run_ensemble,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
                            step_stratonovich)
@@ -54,12 +55,22 @@ class TestNoiseFreeLimit:
         assert state.flavor_probability("M0bar") == pytest.approx(1.0, abs=1e-4)
 
     def test_all_schemes_identical_at_lambda_zero(self):
-        params, _, model, state = qmupl_setup(lam=0.0)
+        """At lam=0 every step approximates the rotation exp(-iH dt): the
+        collapse step is exact, Euler-Maruyama and Heun are within their
+        local truncation bounds (h dt)^2/2 and (h dt)^3/6."""
+        params, grid, model, state = qmupl_setup(lam=0.0)
         dW = np.zeros(model.n_channels)
-        a = step_ito_nonlinear(state, model, dW, 0.01)
-        b = step_ito_linear(state, model, dW, 0.01)
-        # the nonlinear step renormalizes; compare after normalizing both
-        assert np.allclose(a.normalized().amplitudes, b.normalized().amplitudes)
+        dt = 0.01
+        exact = state.amplitudes * np.exp(-1j * model.hamiltonian * dt)
+        hdt = float(np.max(model.hamiltonian)) * dt
+
+        def dist(step):
+            diff = step(state, model, dW, dt).amplitudes - exact
+            return np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing)
+
+        assert dist(step_ito_nonlinear) < 1e-12
+        assert dist(step_ito_linear) <= hdt ** 2 / 2.0
+        assert dist(step_stratonovich) <= hdt ** 3 / 6.0
 
 
 class TestPathwiseProperties:
@@ -151,6 +162,13 @@ class TestPathwiseProperties:
                 state = step_ito_linear(state, model, path.increments[k], dt)
             drifts.append(abs(state.norm() - 1.0))
         assert drifts[2] < drifts[0]
+
+    def test_linear_step_norm_divergence_raises(self):
+        """One Euler-Maruyama step at a large dt changes the norm by far
+        more than 10 %: it must raise, not return a blown-up state."""
+        params, _, model, state = qmupl_setup(lam=0.5)
+        with pytest.raises(NormDivergenceError):
+            step_ito_linear(state, model, np.full(model.n_channels, 3.0), 1.0)
 
 
 class TestWongZakai:
@@ -299,6 +317,50 @@ class TestRunEnsemble:
         rho = res.mean_density[0]
         assert abs(rho.trace() - 1.0) < 1e-9
         assert rho.hermiticity_defect() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["ito-nonlinear", "wong-zakai"])
+    def test_repeated_sample_time_fills_every_slot(self, kind):
+        params, _, model, state0 = qmupl_setup(lam=0.3)
+        mollifier = Mollifier("gaussian", 0.04) if kind == "wong-zakai" else None
+        res = run_ensemble(model, IntegratorSpec(kind, 0.01, mollifier=mollifier),
+                           state0, 0.2, 5, seed=2, sample_times=[0.1, 0.1, 0.2])
+        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
+            rows = getattr(res, name)
+            assert np.array_equal(rows[0], rows[1])
+        assert np.all(res.flavor_mean[0] > 0) and np.all(res.mass_mean[0] > 0)
+
+    def test_collapse_from_mass_eigenstate_stays_finite(self):
+        """psi_0 vanishes on every L entry and lam dt = 10: the shifted
+        log-weights keep all outputs finite and the state pure H."""
+        params, grid, model, _ = qmupl_setup(lam=200.0)
+        state0 = make_gaussian_state(params, grid, "H")
+        res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.05), state0,
+                           2.0, 50, seed=4, n_samples=4, store_density=True)
+        for name in ("flavor_mean", "flavor_stderr", "mass_mean",
+                     "mass_stderr", "mass_var"):
+            assert np.all(np.isfinite(getattr(res, name)))
+        assert all(np.all(np.isfinite(rho.blocks)) for rho in res.mean_density)
+        assert np.all(res.mass_mean[:, 0] == 1.0)
+        assert np.all(res.mass_mean[:, 1] == 0.0)
+
+    def test_csl_collapse_mean_matches_master_equation(self):
+        """Many channels: the collapse ensemble mean equals the grid ME
+        within 3 sigma (it is 15 sigma or more from the gamma = 0 curve),
+        and the mean mass populations stay 1/2 (a wrong drift in the
+        driving process moves them by 4 sigma or more)."""
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(32, 8.0)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        times = np.array([1.0, 2.0, 3.0])
+        res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.01), state0,
+                           3.0, 300, seed=1, sample_times=times)
+        me = me_flavor_probabilities(model, DensityBlocks.from_state(state0),
+                                     times, 0.01)
+        z = np.abs(res.flavor_mean[:, 0] - me.p_same) / res.flavor_stderr[:, 0]
+        assert np.all(z < 3.0)
+        z_mass = np.abs(res.mass_mean[:, 0] - 0.5) / res.mass_stderr[:, 0]
+        assert np.all(z_mass < 3.0)
 
     def test_mass_populations_constant(self):
         params, _, model, state0 = qmupl_setup(lam=0.4)
