@@ -5,10 +5,9 @@ stochastic unravelings (Ito, Stratonovich, mollified-noise ODE), and the
 regularized noise-autocorrelation integral whose limit is 1/2.
 """
 
-from .core import (DensityBlocks, FlavorVector, Grid, GridResolutionError,
-                   GridState, InvariantViolationError, ModelParams,
-                   NormDivergenceError, ParameterError, flavor_to_mass,
-                   make_gaussian_state)
+from .core import (DensityBlocks, Grid, GridResolutionError, GridState,
+                   InvariantViolationError, ModelParams, NormDivergenceError,
+                   ParameterError, flavor_to_mass, make_gaussian_state)
 from .integrators import (EnsembleResult, IntegratorSpec, integrate_wong_zakai,
                           run_ensemble, step_ito_linear, step_ito_nonlinear,
                           step_stratonovich)
@@ -16,8 +15,8 @@ from .master_eq import (SuperoperatorKernel, TransitionRecord,
                         csl_flavor_probabilities, decoherence_rates,
                         dyson_expand, evolve_me_csl_exact, evolve_me_numeric,
                         evolve_me_qmupl_exact, flavor_record,
-                        interference_integral, mass_transition_probabilities,
-                        me_envelope, me_flavor_probabilities,
+                        interference_integral, me_envelope,
+                        me_flavor_probabilities,
                         qmupl_flavor_probabilities, transition_probability)
 from .models import (CSL, QMUPL, CollapseModel, build_csl, build_hamiltonian, build_qmupl,
                      smearing_kernel, smearing_self_convolution)

@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import (Grid, GridResolutionError, InvariantViolationError,
-                   ModelParams, NormDivergenceError, ParameterError,
-                   make_gaussian_state)
+from .core import (DensityBlocks, Grid, GridResolutionError,
+                   InvariantViolationError, ModelParams, NormDivergenceError,
+                   ParameterError, make_gaussian_state)
 from .integrators import IntegratorSpec, resolve_workers, run_ensemble
 from .master_eq import (RECORD_COLUMNS, SuperoperatorKernel, dyson_expand,
-                        flavor_record, me_flavor_probabilities,
+                        exact_record, flavor_record, me_flavor_probabilities,
                         transition_probability)
 from .models import CSL, QMUPL, build_csl, build_qmupl
 from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
@@ -226,7 +226,6 @@ def run_me(config):
 
 
 def _initial_density(params, grid):
-    from .core import DensityBlocks
     return DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
 
 
@@ -269,12 +268,8 @@ def run_dyson(config):
     for i, t in enumerate(times):
         rho = dyson_expand(kernel, rho0, float(t), order)
         p_same[i] = transition_probability(rho, "M0", validate=False)
-    zeros = np.zeros_like(times)
-    from .master_eq import TransitionRecord
-    record = TransitionRecord(times=times, p_same=p_same, p_other=1.0 - p_same,
-                              stderr_same=zeros, stderr_other=zeros,
-                              source="dyson-%d" % order)
-    _emit_table(config, RECORD_COLUMNS, _record_rows(record))
+    _emit_record(config, exact_record(times, p_same, 1.0 - p_same,
+                                      source="dyson-%d" % order))
     return 0
 
 

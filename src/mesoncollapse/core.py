@@ -5,7 +5,7 @@ spanned by the mass eigenstates (H, L); particle / anti-particle states
 are their equal-weight combinations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,9 +155,7 @@ class GridState:
 
     def flavor_probability(self, flavor):
         """Squared overlap with identity_position (x) |flavor>."""
-        v = flavor_to_mass(flavor)
-        proj = (np.conj(v.cH) * self.amplitudes[:, IDX_H]
-                + np.conj(v.cL) * self.amplitudes[:, IDX_L])
+        proj = self.amplitudes @ np.conj(flavor_to_mass(flavor))
         return float(np.sum(np.abs(proj) ** 2) * self.grid.spacing)
 
 
@@ -202,35 +200,18 @@ class DensityBlocks:
         return self
 
 
-@dataclass(frozen=True)
-class FlavorVector:
-    """Internal two-level state in the mass basis."""
-
-    cH: complex
-    cL: complex
-
-    def norm(self):
-        return float(np.sqrt(abs(self.cH) ** 2 + abs(self.cL) ** 2))
-
-    def inner(self, other):
-        """<self | other>."""
-        return complex(np.conj(self.cH) * other.cH + np.conj(self.cL) * other.cL)
-
-
 _SQ2 = 1.0 / np.sqrt(2.0)
-_FLAVOR_VECTORS = {
-    "M0": FlavorVector(_SQ2, _SQ2),
-    "M0bar": FlavorVector(_SQ2, -_SQ2),
-    "H": FlavorVector(1.0, 0.0),
-    "L": FlavorVector(0.0, 1.0),
-}
+_FLAVOR_VECTORS = {label: _frozen_array(c, complex) for label, c in (
+    ("M0", (_SQ2, _SQ2)), ("M0bar", (_SQ2, -_SQ2)),
+    ("H", (1.0, 0.0)), ("L", (0.0, 1.0)))}
 
 
 def flavor_to_mass(label):
-    """Mass-basis amplitudes of a flavor (or mass) label.
+    """Mass-basis amplitudes (c_H, c_L) of a flavor (or mass) label.
 
-    M0 -> (1, 1)/sqrt(2), M0bar -> (1, -1)/sqrt(2); the mass labels H, L
-    are accepted for convenience and map to basis vectors.
+    Returns a read-only complex array of shape (2,): M0 -> (1, 1)/sqrt(2),
+    M0bar -> (1, -1)/sqrt(2); the mass labels H, L are accepted for
+    convenience and map to basis vectors.
     """
     try:
         return _FLAVOR_VECTORS[label]
@@ -258,8 +239,4 @@ def make_gaussian_state(params, grid, flavor="M0"):
     x = grid.points
     psi = np.exp(-x ** 2 / (2.0 * params.alpha))
     psi /= np.sqrt(np.sum(psi ** 2) * grid.spacing)
-    v = flavor_to_mass(flavor)
-    amp = np.empty((grid.n_points, 2), dtype=complex)
-    amp[:, IDX_H] = v.cH * psi
-    amp[:, IDX_L] = v.cL * psi
-    return GridState(amp, grid)
+    return GridState(psi[:, None] * flavor_to_mass(flavor), grid)

@@ -35,12 +35,17 @@ INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
 WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
 
-# largest per-chunk noise buffer, used to size trajectory batches
+# trajectories per chunk: as many as a full (batch, n_steps, nc) increment
+# array fits into this many bytes (counted three times for Wong-Zakai).  It
+# fixes the chunk boundaries and so the reduction order; the linear and
+# collapse kinds hold less noise at a time than it allows.
 _MAX_NOISE_BYTES = 64 * 2 ** 20
 
+# steps per increment draw of the collapse kind
+_BLOCK_STEPS = 256
+
 # <M0| and <M0bar| in the mass basis, shape (2 outcomes, 2 mass)
-_FLAVOR_PROJECTORS = np.conj([[v.cH, v.cL]
-                              for v in map(flavor_to_mass, ("M0", "M0bar"))])
+_FLAVOR_PROJECTORS = np.conj([flavor_to_mass(f) for f in ("M0", "M0bar")])
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,12 @@ class IntegratorSpec:
                 "a mollifier must be given exactly for kind='wong-zakai'")
 
 
-def _collapse_path(model, amp0, dw, dt, stops):
+def _collapse_path(model, amp0, n_batch, dws, dt, stops):
     """Yield (step, psi up to normalization) for each step in ``stops``.
 
-    Y_0 = 0 takes Euler-Maruyama steps dY = dW + 2 sqrt(lam) <A>_t dt, dw of
-    shape (B, steps, nc), with <A>_t weighted by |psi_t|^2 = |psi_0|^2
+    Y_0 = 0 takes Euler-Maruyama steps dY = dW + 2 sqrt(lam) <A>_t dt, the
+    iterator ``dws`` giving each step's dW of shape (n_batch, nc), with
+    <A>_t weighted by |psi_t|^2 = |psi_0|^2
     exp(2 sqrt(lam) A.Y - 2 lam A^2 t).  Entries where psi_0 = 0 drop out and
     the log-weights are shifted by their maximum: no 0/0, no overflow.
     """
@@ -82,19 +88,19 @@ def _collapse_path(model, amp0, dw, dt, stops):
                     np.ones(unit.size)])                 # rows [A_i; 1]
     basis = np.vstack([a1[:nc], model.channel_square_sum().reshape(-1)[on],
                        np.log(prob[on])]).T              # (support, nc + 2)
-    coef = np.zeros((nc + 2, dw.shape[0]))               # [2 sqrt(lam) Y; t; 1]
+    coef = np.zeros((nc + 2, n_batch))                   # [2 sqrt(lam) Y; t; 1]
     coef[-1] = 1.0
     for k in range(max(stops, default=0) + 1):
         if k > 0:
             np.exp(log_w, out=log_w)
             m = a1 @ log_w                               # [sum w A_i; sum w]
-            coef[:nc] += 2.0 * root_lam * (dw[:, k - 1].T
+            coef[:nc] += 2.0 * root_lam * (next(dws).T
                                            + 2.0 * root_lam * dt * m[:nc] / m[nc])
         coef[-2] = -2.0 * lam * k * dt
         log_w = basis @ coef                             # (support, B)
         log_w -= log_w.max(axis=0)
         if k in stops:
-            amp = np.zeros((dw.shape[0], flat.size), dtype=complex)
+            amp = np.zeros((n_batch, flat.size), dtype=complex)
             amp[:, on] = unit * np.exp(0.5 * log_w.T - 1j * k * dt * h)
             yield k, amp.reshape((-1,) + amp0.shape)
 
@@ -123,8 +129,8 @@ def step_ito_nonlinear(state, model, dW, dt):
     NormDivergenceError.
     """
     _check_normalized(state)
-    dw = np.asarray(dW, dtype=float).reshape(1, 1, -1)
-    (_, amp), = _collapse_path(model, state.amplitudes, dw, dt, {1})
+    dw = np.asarray(dW, dtype=float).reshape(1, -1)
+    (_, amp), = _collapse_path(model, state.amplitudes, 1, iter([dw]), dt, {1})
     return GridState(amp[0], state.grid).normalized()
 
 
@@ -254,12 +260,11 @@ def _new_accumulators(n_times, n_points, store_density):
     return acc
 
 
-def _increments(seed, indices, n_steps, nc, dt):
-    """Each trajectory's Philox increments, shape (len(indices), n_steps, nc)."""
-    dw = np.empty((len(indices), n_steps, nc))
-    for j, traj in enumerate(indices):
-        dw[j] = path_generator(seed, traj).normal(0.0, np.sqrt(dt),
-                                                  size=(n_steps, nc))
+def _increments(rngs, n_steps, nc, dt):
+    """The next ``n_steps`` increments of each Philox stream, (B, n_steps, nc)."""
+    dw = np.empty((len(rngs), n_steps, nc))
+    for j, rng in enumerate(rngs):
+        dw[j] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, nc))
     return dw
 
 
@@ -269,21 +274,21 @@ def _sample_slots(sample_steps):
     return {int(s): np.flatnonzero(steps == s) for s in np.unique(steps)}
 
 
-def _run_chunk_sde(model, spec, amp0, n_steps, sample_steps, seed, indices,
-                   store_density):
-    """Nonlinear SDE on its driving process: nc reals per trajectory."""
-    acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
-    slots = _sample_slots(sample_steps)
-    dw = _increments(seed, indices, n_steps, model.n_channels, spec.dt)
-    for k, amp in _collapse_path(model, amp0, dw, spec.dt, slots):
-        _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc, slots[k],
-                    store_density)
-    return acc
+def _nonlinear_path(model, spec, amp0, n_steps, stops, rngs):
+    """Collapse SDE on its driving process: nc reals per trajectory.
+
+    Increments are drawn _BLOCK_STEPS steps at a time; consecutive draws
+    from one Philox stream equal one large draw bit for bit.
+    """
+    blocks = (_increments(rngs, min(_BLOCK_STEPS, n_steps - start),
+                          model.n_channels, spec.dt)
+              for start in range(0, n_steps, _BLOCK_STEPS))
+    dws = (block[:, j] for block in blocks for j in range(block.shape[1]))
+    return _collapse_path(model, amp0, len(rngs), dws, spec.dt, stops)
 
 
-def _run_chunk_exact(model, spec, amp0, n_steps, sample_steps, seed, indices,
-                     store_density):
-    """Linear kinds, solved pathwise at the sample times only.
+def _linear_path(model, spec, amp0, n_steps, stops, rngs):
+    """Linear kinds, solved pathwise at the sample steps only.
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
     and the Stratonovich form alike, since H and every A_i are diagonal and
@@ -291,64 +296,60 @@ def _run_chunk_exact(model, spec, amp0, n_steps, sample_steps, seed, indices,
     scheme would, but sums them one segment (between sample steps) at a time.
     """
     nc = model.n_channels
-    stops = np.unique(sample_steps)
     sd = np.sqrt(spec.dt)
-    w = np.zeros((len(indices), stops.size, nc))          # W at each stop
-    for j, traj in enumerate(indices):
-        rng = path_generator(seed, traj)
-        total, done = np.zeros(nc), 0
-        for s, stop in enumerate(stops):
-            if stop > done:
-                total = total + rng.normal(0.0, sd, size=(stop - done, nc)).sum(axis=0)
-                done = stop
-            w[j, s] = total
     channels = model.channels.reshape(nc, -1)
     root_lam = np.sqrt(model.effective_coupling)
-    acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
-    for i, step in enumerate(sample_steps):
-        field = (w[:, np.searchsorted(stops, step)] @ channels).reshape(
-            (-1,) + amp0.shape)
-        phase = root_lam * field - model.hamiltonian * (step * spec.dt)
-        _accumulate(amp0 * np.exp(1j * phase), model.grid.spacing,
-                    _FLAVOR_PROJECTORS, acc, i, store_density)
-    return acc
+    w, done = np.zeros((len(rngs), nc)), 0               # W at step ``done``
+    for stop in sorted(stops):
+        if stop > done:
+            w += [rng.normal(0.0, sd, size=(stop - done, nc)).sum(axis=0)
+                  for rng in rngs]
+            done = stop
+        field = (w @ channels).reshape((-1,) + amp0.shape)
+        phase = root_lam * field - model.hamiltonian * (stop * spec.dt)
+        yield stop, amp0 * np.exp(1j * phase)
 
 
-def _run_chunk_wz(model, spec, amp0, n_steps, sample_steps, seed, indices,
-                  store_density):
-    """Wong-Zakai batch: mollified noise from per-trajectory Wiener paths."""
+def _wong_zakai_path(model, spec, amp0, n_steps, stops, rngs):
+    """Mollified noise from per-trajectory Wiener paths, RK4 steps."""
     m = spec.mollifier
     lo, hi = m.support()
     dt = spec.dt
-    t_max = n_steps * dt
-    nc = model.n_channels
     # base increments cover all u with delta_eps(s - u) != 0, s in [0, t_max]
     u_lo = -hi
-    n_base = int(np.ceil((t_max - lo - u_lo) / dt))
+    n_base = int(np.ceil((n_steps * dt - lo - u_lo) / dt))
     t_mid = u_lo + (np.arange(n_base) + 0.5) * dt
     eval_times = 0.5 * dt * np.arange(2 * n_steps + 1)
     kernel = m.pdf(eval_times[:, None] - t_mid[None, :])           # (n_eval, n_base)
-    dw = _increments(seed, indices, n_base, nc, dt)
+    dw = _increments(rngs, n_base, model.n_channels, dt)
     wdot = np.einsum("bki,ek->bei", dw, kernel, optimize=True)                    # (B, n_eval, nc)
-    amp = np.broadcast_to(amp0, (len(indices),) + amp0.shape).copy()
+    amp = np.broadcast_to(amp0, (len(rngs),) + amp0.shape).copy()
+    for k in range(max(stops) + 1):
+        if k > 0:
+            gens = [_wz_generators(model, wdot[:, 2 * k + j - 2]) for j in range(3)]
+            amp = _rk4_factorized(amp, *gens, dt)
+        if k in stops:
+            yield k, amp
+
+
+_PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _linear_path,
+          "stratonovich": _linear_path, "wong-zakai": _wong_zakai_path}
+
+
+def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices,
+               store_density):
+    """Accumulate one batch of trajectories at the sample steps.
+
+    The kind's path generator yields (step, psi batch) at each sample step
+    from the trajectories' own Philox streams.
+    """
     acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
     slots = _sample_slots(sample_steps)
-    for k in range(n_steps + 1):
-        if k in slots:
-            _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc,
-                        slots[k], store_density)
-        if k < n_steps:
-            gens = [_wz_generators(model, wdot[:, 2 * k + j]) for j in range(3)]
-            amp = _rk4_factorized(amp, *gens, dt)
+    rngs = [path_generator(seed, traj) for traj in indices]
+    for k, amp in _PATHS[spec.kind](model, spec, amp0, n_steps, slots, rngs):
+        _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc, slots[k],
+                    store_density)
     return acc
-
-
-_CHUNK_RUNNERS = {"ito-nonlinear": _run_chunk_sde, "ito-linear": _run_chunk_exact,
-                  "stratonovich": _run_chunk_exact, "wong-zakai": _run_chunk_wz}
-
-
-def _chunk_worker(args):
-    return _CHUNK_RUNNERS[args[1].kind](*args)
 
 
 def resolve_workers(n_workers=None, default=1):
@@ -404,9 +405,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     workers = resolve_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(_chunk_worker, tasks))
+            partials = list(ex.map(_run_chunk, *zip(*tasks)))
     else:
-        partials = [_chunk_worker(t) for t in tasks]
+        partials = [_run_chunk(*t) for t in tasks]
 
     total = partials[0]
     for part in partials[1:]:

@@ -70,21 +70,19 @@ def exact_record(times, p_same, p_other, source):
 
 @dataclass(frozen=True)
 class SuperoperatorKernel:
-    """Left/right channel weights generating the interaction-picture map.
+    """The master-equation generator of one model, built once.
 
-    weights : (n_channels, n_points, 2) diagonal values of each channel.
-    coupling : effective coupling (model coupling times channel measure).
+    hamiltonian : (2,) mass phase rates.
+    rate : (2, 2, n, n) damping rate of each density entry
+        (``decoherence_rates``).
     """
 
-    weights: np.ndarray
-    coupling: float
     hamiltonian: np.ndarray
-    grid: object
+    rate: np.ndarray
 
     @classmethod
     def from_model(cls, model):
-        return cls(weights=model.channels, coupling=model.effective_coupling,
-                   hamiltonian=model.hamiltonian, grid=model.grid)
+        return cls(hamiltonian=model.hamiltonian, rate=decoherence_rates(model))
 
 
 def decoherence_rates(model):
@@ -100,10 +98,24 @@ def decoherence_rates(model):
     return 0.5 * model.effective_coupling * rate
 
 
+def _hl_diagonal_rate(model):
+    """rate[H, L, x, x] = (coupling/2) sum_i (w_i(x,H) - w_i(x,L))^2, shape (n,).
+
+    The x = y diagonal of the HL block of ``decoherence_rates`` in O(nc n).
+    """
+    d = model.channels[:, :, IDX_H] - model.channels[:, :, IDX_L]
+    return 0.5 * model.effective_coupling * np.einsum("ix,ix->x", d, d)
+
+
 def _phase_rates(hamiltonian):
     """-i (m_mu - m_nu) for each block, shape (2, 2)."""
     h = np.asarray(hamiltonian, dtype=float)
     return -1j * (h[:, None] - h[None, :])
+
+
+def _generator(hamiltonian, rate):
+    """Per-entry generator -i(m_mu - m_nu) - rate, shape (2, 2, n, n)."""
+    return _phase_rates(hamiltonian)[:, :, None, None] - rate
 
 
 def evolve_me_numeric(rho0, model, t, dt, validate=True):
@@ -120,9 +132,7 @@ def evolve_me_numeric(rho0, model, t, dt, validate=True):
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 * max(t, dt):
         raise ParameterError("t=%g is not an integer number of steps dt=%g" % (t, dt))
-    gen = (_phase_rates(model.hamiltonian)[:, :, None, None]
-           - decoherence_rates(model))
-    step = np.exp(gen * dt)
+    step = np.exp(_generator(model.hamiltonian, decoherence_rates(model)) * dt)
     blocks = np.array(rho0.blocks)
     for _ in range(n_steps):
         blocks *= step
@@ -140,8 +150,7 @@ def evolve_me_qmupl_exact(rho0, params, t):
     mx = m[:, None, None, None] * x[None, None, :, None]
     my = m[None, :, None, None] * x[None, None, None, :]
     rate = params.lam * (mx - my) ** 2 / (2.0 * params.m0 ** 2)
-    phase = _phase_rates(m)[:, :, None, None]
-    return DensityBlocks(rho0.blocks * np.exp((phase - rate) * t), rho0.grid)
+    return DensityBlocks(rho0.blocks * np.exp(_generator(m, rate) * t), rho0.grid)
 
 
 def evolve_me_csl_exact(rho0, params, t):
@@ -158,8 +167,7 @@ def evolve_me_csl_exact(rho0, params, t):
     mprod = m[:, None] * m[None, :]
     rate = (params.gamma / (2.0 * params.m0 ** 2)
             * (msq[:, :, None, None] * gg0 - 2.0 * mprod[:, :, None, None] * gg))
-    phase = _phase_rates(m)[:, :, None, None]
-    return DensityBlocks(rho0.blocks * np.exp((phase - rate) * t), rho0.grid)
+    return DensityBlocks(rho0.blocks * np.exp(_generator(m, rate) * t), rho0.grid)
 
 
 def qmupl_flavor_probabilities(params, t):
@@ -198,11 +206,6 @@ def flavor_record(params, times, model_label=QMUPL):
     return exact_record(times, p_same, p_other, source="exact-closed-form")
 
 
-def mass_transition_probabilities(model_label=None):
-    """Mass-eigenstate transitions are trivial for both models."""
-    return {("H", "H"): 1.0, ("H", "L"): 0.0, ("L", "L"): 1.0, ("L", "H"): 0.0}
-
-
 def transition_probability(rho, out, validate=True):
     """<phi_out| rho |phi_out> for a flavor or mass label.
 
@@ -213,8 +216,7 @@ def transition_probability(rho, out, validate=True):
         rho.validate(tol=1e-8)
     dx = rho.grid.spacing
     diag = np.einsum("mnxx->mn", rho.blocks) * dx        # (2, 2)
-    v = flavor_to_mass(out)
-    c = np.array([v.cH, v.cL])
+    c = flavor_to_mass(out)
     val = np.real(np.conj(c) @ diag @ c)
     return float(val)
 
@@ -247,27 +249,21 @@ def me_envelope(model, rho0, times, dt):
 
 
 def _interference_series(model, rho0, times, dt):
-    """Cumulative stepping of the numeric ME; times snap to multiples of dt."""
+    """z(t) = dx sum_x rho0^HL(x,x) exp[(-i(m_H - m_L) - r(x)) t] per time.
+
+    Only the x = y diagonal of the HL block enters and every entry evolves by
+    its own exponential, so this costs O(nc n + n T).  As for
+    ``evolve_me_numeric``, every time must be a multiple of dt.
+    """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ParameterError("times must be nonnegative")
     steps = np.round(times / dt).astype(int)
     if np.any(np.abs(steps * dt - times) > 1e-9 * max(dt, float(np.max(times, initial=dt)))):
         raise ParameterError("every sample time must be an integer multiple of dt")
-    order = np.argsort(steps)
-    gen = (_phase_rates(model.hamiltonian)[:, :, None, None]
-           - decoherence_rates(model))
-    step = np.exp(gen * dt)
-    blocks = np.array(rho0.blocks)
-    dx = rho0.grid.spacing
-    amplitudes = np.empty(times.shape, dtype=complex)
-    done = 0
-    for idx in order:
-        for _ in range(steps[idx] - done):
-            blocks *= step
-        done = steps[idx]
-        amplitudes[idx] = np.sum(np.diagonal(blocks[IDX_H, IDX_L])) * dx
-    return times, amplitudes
+    gen = _phase_rates(model.hamiltonian)[IDX_H, IDX_L] - _hl_diagonal_rate(model)
+    z0 = np.diagonal(rho0.blocks[IDX_H, IDX_L]) * rho0.grid.spacing
+    return times, np.exp(np.multiply.outer(steps * dt, gen)) @ z0
 
 
 def dyson_expand(kernel, rho0, t, order):
@@ -280,13 +276,7 @@ def dyson_expand(kernel, rho0, t, order):
     """
     if order not in (0, 1, 2):
         raise ParameterError("unsupported expansion order %r (need 0, 1 or 2)" % (order,))
-    w = kernel.weights
-    # left-right combination  A^L A^R - (A^L A^L + A^R A^R)/2  acting entrywise:
-    # the left factor takes the row value w(i,x,mu), the right the column value
-    cross = np.einsum("ixm,iyn->mnxy", w, w, optimize=True)
-    s2 = np.sum(w ** 2, axis=0).T                        # (2, n)
-    gen = cross - 0.5 * (s2[:, None, :, None] + s2[None, :, None, :])
-    st = kernel.coupling * gen * t                       # (2, 2, n, n), <= 0
+    st = -kernel.rate * t                                # (2, 2, n, n), <= 0
     series = np.ones_like(st)
     term = np.ones_like(st)
     for n in range(1, order + 1):

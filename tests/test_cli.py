@@ -199,3 +199,13 @@ class TestMeAndDyson:
                         "--out", str(out)]) == 0
         _, _, rows = read_table(out)
         assert all(r[-1] == "dyson-1" for r in rows)
+
+    def test_dyson_overflow_is_numerical_error(self, tmp_path, capsys):
+        """A diverging truncation is a numerical failure, not NaN rows."""
+        out = tmp_path / "dyson.csv"
+        code = run_cli(["dyson", "--model", "qmupl", "--lambda", "1e300",
+                        "--tmax", "1", "--samples", "2", "--grid-points", "64",
+                        "--out", str(out)])
+        assert code == 1
+        assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()

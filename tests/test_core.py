@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesoncollapse import (DensityBlocks, FlavorVector, Grid,
-                           GridResolutionError, GridState, ModelParams,
-                           ParameterError, flavor_to_mass,
-                           make_gaussian_state)
+from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
+                           GridState, ModelParams, ParameterError,
+                           flavor_to_mass, make_gaussian_state)
+from mesoncollapse.core import IDX_H, IDX_L
 
 INV_SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -65,21 +65,27 @@ class TestFlavorConversion:
 
     def test_m0_components(self):
         v = flavor_to_mass("M0")
-        assert v.cH == pytest.approx(INV_SQ2)
-        assert v.cL == pytest.approx(INV_SQ2)
+        assert v[IDX_H] == pytest.approx(INV_SQ2)
+        assert v[IDX_L] == pytest.approx(INV_SQ2)
 
     def test_m0bar_components(self):
         v = flavor_to_mass("M0bar")
-        assert v.cH == pytest.approx(INV_SQ2)
-        assert v.cL == pytest.approx(-INV_SQ2)
+        assert v[IDX_H] == pytest.approx(INV_SQ2)
+        assert v[IDX_L] == pytest.approx(-INV_SQ2)
 
     def test_flavor_states_orthogonal(self):
         v, w = flavor_to_mass("M0"), flavor_to_mass("M0bar")
-        assert abs(v.inner(w)) < 1e-15
+        assert abs(np.vdot(v, w)) < 1e-15
 
     def test_mass_labels_are_basis_vectors(self):
-        assert flavor_to_mass("H") == FlavorVector(1.0, 0.0)
-        assert flavor_to_mass("L") == FlavorVector(0.0, 1.0)
+        assert np.array_equal(flavor_to_mass("H"), [1.0, 0.0])
+        assert np.array_equal(flavor_to_mass("L"), [0.0, 1.0])
+
+    def test_vectors_are_read_only_complex_pairs(self):
+        v = flavor_to_mass("M0")
+        assert v.shape == (2,) and v.dtype == complex
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ParameterError):
@@ -92,9 +98,9 @@ class TestFlavorConversion:
     def test_isometry(self, a, b):
         """The flavor<->mass rotation preserves norms and inner products."""
         v0, vbar = flavor_to_mass("M0"), flavor_to_mass("M0bar")
-        mass = FlavorVector(a * v0.cH + b * vbar.cH, a * v0.cL + b * vbar.cL)
+        mass = a * v0 + b * vbar
         flavor_norm2 = abs(a) ** 2 + abs(b) ** 2
-        assert mass.norm() ** 2 == pytest.approx(flavor_norm2, abs=1e-9)
+        assert np.linalg.norm(mass) ** 2 == pytest.approx(flavor_norm2, abs=1e-9)
 
 
 class TestGaussianState:

@@ -12,6 +12,7 @@ from mesoncollapse import (DensityBlocks, Grid, GridState, IntegratorSpec,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
+from mesoncollapse.integrators import _BLOCK_STEPS
 from mesoncollapse.noise import MollifiedNoise, path_generator
 
 
@@ -205,18 +206,22 @@ class TestWongZakai:
 class TestRunEnsemble:
 
     def test_single_trajectory_equals_direct_run(self):
+        """Also across increment blocks: 600 steps span three blocks and
+        are not a multiple of the block size."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
-        dt, n_steps = 0.01, 50
-        spec = IntegratorSpec("ito-nonlinear", dt)
-        res = run_ensemble(model, spec, state0, n_steps * dt, 1, seed=21,
-                           sample_times=np.array([n_steps * dt]))
-        rng = path_generator(21, 0)
-        dw = rng.normal(0.0, np.sqrt(dt), size=(n_steps, model.n_channels))
-        state = state0
-        for k in range(n_steps):
-            state = step_ito_nonlinear(state, model, dw[k], dt)
-        assert res.flavor_mean[0, 0] == pytest.approx(
-            state.flavor_probability("M0"), abs=1e-12)
+        dt = 0.01
+        assert 600 > 2 * _BLOCK_STEPS and 600 % _BLOCK_STEPS
+        for n_steps in (50, 600):
+            spec = IntegratorSpec("ito-nonlinear", dt)
+            res = run_ensemble(model, spec, state0, n_steps * dt, 1, seed=21,
+                               sample_times=np.array([n_steps * dt]))
+            rng = path_generator(21, 0)
+            dw = rng.normal(0.0, np.sqrt(dt), size=(n_steps, model.n_channels))
+            state = state0
+            for k in range(n_steps):
+                state = step_ito_nonlinear(state, model, dw[k], dt)
+            assert res.flavor_mean[0, 0] == pytest.approx(
+                state.flavor_probability("M0"), abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_equal_pathwise_exact_solution(self, kind):

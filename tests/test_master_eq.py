@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from mesoncollapse import (CSL, QMUPL, DensityBlocks, Grid,
+from mesoncollapse import (QMUPL, DensityBlocks, Grid,
                            InvariantViolationError, ModelParams,
                            ParameterError, SuperoperatorKernel, build_csl,
                            build_qmupl, csl_flavor_probabilities,
-                           dyson_expand, evolve_me_csl_exact,
-                           evolve_me_numeric, evolve_me_qmupl_exact,
-                           flavor_record, interference_integral,
-                           make_gaussian_state, mass_transition_probabilities,
-                           me_flavor_probabilities,
+                           decoherence_rates, dyson_expand,
+                           evolve_me_csl_exact, evolve_me_numeric,
+                           evolve_me_qmupl_exact, flavor_record,
+                           interference_integral, make_gaussian_state,
+                           me_envelope, me_flavor_probabilities,
                            qmupl_flavor_probabilities, transition_probability)
 from mesoncollapse.core import IDX_H, IDX_L
+from mesoncollapse.master_eq import _hl_diagonal_rate
 
 
 def qmupl_setup(lam=0.2, alpha=1.0, n=64, extent=16.0, dim=1):
@@ -162,6 +163,46 @@ class TestGridMeVsClosedForm:
         assert np.max(np.abs(curves[0] - curves[1])) < 1e-8
 
 
+def csl_setup(gamma=0.4, rC=1.0, n=64, extent=16.0):
+    params = ModelParams(gamma=gamma, rC=rC)
+    grid = Grid.centered(n, extent)
+    model = build_csl(params, grid)
+    rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
+    return params, grid, model, rho0
+
+
+class TestGridMeDiagonal:
+    """The flavor probabilities read only the HL diagonal of the ME."""
+
+    @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
+    def test_hl_rate_is_diagonal_of_decoherence_rates(self, setup):
+        _, _, model, _ = setup()
+        full = np.diagonal(decoherence_rates(model)[IDX_H, IDX_L])
+        np.testing.assert_allclose(_hl_diagonal_rate(model), full,
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
+    def test_matches_stepped_evolution(self, setup):
+        _, _, model, rho0 = setup()
+        times, dt = np.array([0.3, 0.9, 1.5]), 0.05
+        record = me_flavor_probabilities(model, rho0, times, dt)
+        envelope = me_envelope(model, rho0, times, dt)
+        for i, t in enumerate(times):
+            z = interference_integral(evolve_me_numeric(rho0, model, t, dt))
+            assert abs(record.p_same[i] - (0.5 + z.real)) < 1e-12
+            assert abs(envelope[i] - 2.0 * abs(z)) < 1e-12
+
+    def test_negative_time_rejected(self):
+        _, _, model, rho0 = qmupl_setup()
+        with pytest.raises(ParameterError):
+            me_flavor_probabilities(model, rho0, [0.5, -0.1], dt=0.05)
+
+    def test_time_off_dt_grid_rejected(self):
+        _, _, model, rho0 = qmupl_setup()
+        with pytest.raises(ParameterError):
+            me_flavor_probabilities(model, rho0, [0.5, 0.52], dt=0.05)
+
+
 class TestTransitionProbability:
 
     def test_pure_initial_state(self):
@@ -175,13 +216,6 @@ class TestTransitionProbability:
         total = (transition_probability(rho, "M0")
                  + transition_probability(rho, "M0bar"))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_mass_transitions_trivial(self):
-        table = mass_transition_probabilities(QMUPL)
-        assert table[("H", "H")] == 1.0
-        assert table[("H", "L")] == 0.0
-        assert table[("L", "H")] == 0.0
-        assert mass_transition_probabilities(CSL)[("L", "L")] == 1.0
 
     def test_mass_eigenstate_stays_pure(self):
         """Grid ME from |psi> x |M_H>: mass-L population stays < 1e-12."""
@@ -226,6 +260,12 @@ class TestTransitionRecord:
 
 
 class TestDyson:
+
+    def test_kernel_holds_decoherence_rates(self):
+        _, _, model, _ = qmupl_setup()
+        kernel = SuperoperatorKernel.from_model(model)
+        assert np.array_equal(kernel.rate, decoherence_rates(model))
+        assert np.array_equal(kernel.hamiltonian, model.hamiltonian)
 
     def test_order_zero_is_free_evolution(self):
         params, _, model, rho0 = qmupl_setup(lam=0.2)
