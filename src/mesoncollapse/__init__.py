@@ -13,7 +13,8 @@ from .integrators import (EnsembleResult, IntegratorSpec, integrate_wong_zakai,
                           step_stratonovich)
 from .master_eq import (SuperoperatorKernel, TransitionRecord,
                         csl_flavor_probabilities, decoherence_rates,
-                        dyson_expand, evolve_me_csl_exact, evolve_me_numeric,
+                        dyson_expand, dyson_flavor_probabilities,
+                        evolve_me_csl_exact, evolve_me_numeric,
                         evolve_me_qmupl_exact, flavor_record,
                         interference_integral, me_envelope,
                         me_flavor_probabilities,

@@ -20,9 +20,8 @@ from .core import (DensityBlocks, Grid, GridResolutionError,
                    InvariantViolationError, ModelParams, NormDivergenceError,
                    ParameterError, make_gaussian_state)
 from .integrators import IntegratorSpec, resolve_workers, run_ensemble
-from .master_eq import (RECORD_COLUMNS, SuperoperatorKernel, dyson_expand,
-                        exact_record, flavor_record, me_flavor_probabilities,
-                        transition_probability)
+from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
+                        flavor_record, me_flavor_probabilities)
 from .models import CSL, QMUPL, build_csl, build_qmupl
 from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
                     i_epsilon_monte_carlo, i_epsilon_quadrature)
@@ -260,16 +259,9 @@ def run_dyson(config):
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
-    kernel = SuperoperatorKernel.from_model(model)
-    rho0 = _initial_density(params, grid)
-    times = _sample_times(config)
-    order = config["order"]
-    p_same = np.empty(times.shape)
-    for i, t in enumerate(times):
-        rho = dyson_expand(kernel, rho0, float(t), order)
-        p_same[i] = transition_probability(rho, "M0", validate=False)
-    _emit_record(config, exact_record(times, p_same, 1.0 - p_same,
-                                      source="dyson-%d" % order))
+    record = dyson_flavor_probabilities(model, _initial_density(params, grid),
+                                        _sample_times(config), config["order"])
+    _emit_record(config, record)
     return 0
 
 

@@ -248,6 +248,19 @@ def me_envelope(model, rho0, times, dt):
     return 2.0 * np.abs(amplitudes)
 
 
+def _hl_diagonal(model, rho0):
+    """(phase, r, z0) of the x = y diagonal of the HL block.
+
+    phase = -i(m_H - m_L), r = ``_hl_diagonal_rate``, and z0 = dx rho0^HL(x,x),
+    so that z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
+    The HH and LL diagonals do not decay, so the flavor probabilities are
+    1/2 +- Re z(t).
+    """
+    phase = _phase_rates(model.hamiltonian)[IDX_H, IDX_L]
+    z0 = np.diagonal(rho0.blocks[IDX_H, IDX_L]) * rho0.grid.spacing
+    return phase, _hl_diagonal_rate(model), z0
+
+
 def _interference_series(model, rho0, times, dt):
     """z(t) = dx sum_x rho0^HL(x,x) exp[(-i(m_H - m_L) - r(x)) t] per time.
 
@@ -261,9 +274,39 @@ def _interference_series(model, rho0, times, dt):
     steps = np.round(times / dt).astype(int)
     if np.any(np.abs(steps * dt - times) > 1e-9 * max(dt, float(np.max(times, initial=dt)))):
         raise ParameterError("every sample time must be an integer multiple of dt")
-    gen = _phase_rates(model.hamiltonian)[IDX_H, IDX_L] - _hl_diagonal_rate(model)
-    z0 = np.diagonal(rho0.blocks[IDX_H, IDX_L]) * rho0.grid.spacing
-    return times, np.exp(np.multiply.outer(steps * dt, gen)) @ z0
+    phase, rate, z0 = _hl_diagonal(model, rho0)
+    return times, np.exp(np.multiply.outer(steps * dt, phase - rate)) @ z0
+
+
+def _taylor_exp(x, order):
+    """sum_{n<=order} x^n / n!, the order-k Taylor polynomial of exp, entrywise."""
+    if order not in (0, 1, 2):
+        raise ParameterError("unsupported expansion order %r (need 0, 1 or 2)" % (order,))
+    series = np.ones_like(x)
+    term = np.ones_like(x)
+    for n in range(1, order + 1):
+        term = term * x / n
+        series = series + term
+    return series
+
+
+def dyson_flavor_probabilities(model, rho0, times, order):
+    """Order-k Dyson flavor probabilities at the sample times.
+
+    What ``dyson_expand`` followed by ``transition_probability(rho, "M0")``
+    gives, read from the HL diagonal alone in O(nc n + n T):
+    p_same = 1/2 + Re z with z(t) = e^{-i(m_H - m_L) t} sum_x z0(x) T_k(-r(x) t)
+    and T_k the order-k Taylor polynomial of exp.  A truncation that
+    overflows gives non-finite rows, which ``TransitionRecord.validate``
+    rejects.
+    """
+    times = np.asarray(times, dtype=float)
+    phase, rate, z0 = _hl_diagonal(model, rho0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _taylor_exp(-np.multiply.outer(times, rate), order)   # (T, n)
+        z = np.exp(phase * times) * (series @ z0)
+    p_same = 0.5 + z.real
+    return exact_record(times, p_same, 1.0 - p_same, source="dyson-%d" % order)
 
 
 def dyson_expand(kernel, rho0, t, order):
@@ -274,13 +317,6 @@ def dyson_expand(kernel, rho0, t, order):
     the doubled-space generator acts entrywise as -rate, and the truncation
     is sum_{n<=k} (-rate * t)^n / n! followed by the free phase.
     """
-    if order not in (0, 1, 2):
-        raise ParameterError("unsupported expansion order %r (need 0, 1 or 2)" % (order,))
-    st = -kernel.rate * t                                # (2, 2, n, n), <= 0
-    series = np.ones_like(st)
-    term = np.ones_like(st)
-    for n in range(1, order + 1):
-        term = term * st / n
-        series = series + term
+    series = _taylor_exp(-kernel.rate * t, order)       # (2, 2, n, n)
     phase = np.exp(_phase_rates(kernel.hamiltonian)[:, :, None, None] * t)
     return DensityBlocks(rho0.blocks * series * phase, rho0.grid)

@@ -9,6 +9,7 @@ approaches 1/2 as eps -> 0 for every kernel here, symmetric or not.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -175,13 +176,23 @@ def mollify(path, m, t_grid, t0=0.0):
                           samples=samples, t0=t0)
 
 
-def _panel_quadrature(f, points, max_panel, order=16):
+@cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre (nodes, weights) on [-1, 1], built once.
+
+    Built on first use, not at import: ``leggauss`` runs a LAPACK
+    eigensolver whose pages every CLI process would otherwise load.
+    """
+    return leggauss(16)
+
+
+def _panel_quadrature(f, points, max_panel):
     """Composite Gauss-Legendre integral of ``f`` over consecutive ``points``.
 
     Each interval between breakpoints is split into panels no wider than
     ``max_panel``; the integrand must be smooth inside each interval.
     """
-    nodes, weights = leggauss(order)
+    nodes, weights = _gauss_legendre()
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         if b <= a:
@@ -238,7 +249,9 @@ def i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=2000):
     """Sample-average estimate of the autocorrelation integral.
 
     Returns (estimate, stderr).  Each path contributes
-    Wdot(t) * trapezoid(Wdot(s), s in [0, t]).
+    Wdot(t) * trapezoid(Wdot(s), s in [0, t]).  The trapezoid is linear in
+    the increments, so it is folded into one kernel vector up front and each
+    path costs two dot products with its increments.
     """
     if t <= 0:
         raise ParameterError("t must be positive, got %g" % t)
@@ -254,16 +267,19 @@ def i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=2000):
     n_s = int(np.round(t / h)) + 1
     s_grid = np.linspace(0.0, t, n_s)
     kernel_s = m.pdf(s_grid[:, None] - t_mid[None, :])   # (n_s, n_inc)
-    kernel_t = m.pdf(t - t_mid)                          # (n_inc,)
+    half_ds = np.diff(s_grid) / 2.0
+    w_trap = np.zeros(n_s)                               # trapezoid weights on s_grid
+    w_trap[:-1] += half_ds
+    w_trap[1:] += half_ds
+    # columns: Wdot(t) and trapezoid(Wdot(s), s) as linear maps of dW
+    kernels = np.stack([m.pdf(t - t_mid), w_trap @ kernel_s], axis=1)  # (n_inc, 2)
     rng = path_generator(seed)
     vals = np.empty(n_paths)
     done = 0
     while done < n_paths:
         b = min(chunk, n_paths - done)
         dw = rng.normal(0.0, np.sqrt(h), size=(b, n_inc))
-        wdot_t = dw @ kernel_t                      # (b,)
-        wdot_s = dw @ kernel_s.T                    # (b, n_s)
-        integral = np.trapezoid(wdot_s, s_grid, axis=1)
+        wdot_t, integral = (dw @ kernels).T
         vals[done:done + b] = wdot_t * integral
         done += b
     estimate = float(np.mean(vals))

@@ -209,3 +209,16 @@ class TestMeAndDyson:
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dyson_overflow_prints_no_warning(self, capsys):
+        """The diverging truncation exits 1 with no rows and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(["dyson", "--model", "qmupl", "--lambda", "1e300",
+                            "--tmax", "1", "--samples", "2",
+                            "--grid-points", "64"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "RuntimeWarning" not in captured.err
+        assert "numerical error" in captured.err

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mesoncollapse import (QMUPL, DensityBlocks, Grid,
+from mesoncollapse import (QMUPL, DensityBlocks, Grid, GridState,
                            InvariantViolationError, ModelParams,
                            ParameterError, SuperoperatorKernel, build_csl,
                            build_qmupl, csl_flavor_probabilities,
                            decoherence_rates, dyson_expand,
+                           dyson_flavor_probabilities,
                            evolve_me_csl_exact, evolve_me_numeric,
                            evolve_me_qmupl_exact, flavor_record,
                            interference_integral, make_gaussian_state,
@@ -279,6 +281,44 @@ class TestDyson:
         kernel = SuperoperatorKernel.from_model(model)
         with pytest.raises(ParameterError):
             dyson_expand(kernel, rho0, 1.0, 3)
+        with pytest.raises(ParameterError):
+            dyson_flavor_probabilities(model, rho0, [1.0], 3)
+
+    @given(csl=st.booleans(),
+           coupling=st.floats(min_value=0.0, max_value=1.0),
+           alpha=st.floats(min_value=0.25, max_value=2.0),
+           r_c=st.floats(min_value=0.5, max_value=2.0),
+           fill=st.floats(min_value=0.5, max_value=1.0),
+           n=st.integers(min_value=16, max_value=64),
+           order=st.integers(min_value=0, max_value=2),
+           mix=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(
+               lambda c: np.linalg.norm(c) > 0.1),
+           times=st.lists(st.floats(min_value=1e-3, max_value=3.0),
+                          min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_diagonal_matches_full_expansion(self, csl, coupling, alpha, r_c,
+                                             fill, n, order, mix, times):
+        """The HL-diagonal route equals dyson_expand + transition_probability.
+
+        The initial state is a Gaussian packet of width alpha in a random
+        mass superposition, so the HH and LL traces differ from 1/2.
+        """
+        params = ModelParams(lam=0.0 if csl else coupling,
+                             gamma=coupling if csl else 0.0,
+                             rC=r_c, alpha=alpha)
+        grid = Grid.centered(n, n * fill * r_c / 4.0)
+        model = (build_csl if csl else build_qmupl)(params, grid)
+        profile = np.exp(-grid.points ** 2 / (2.0 * alpha))
+        c = np.array([mix[0] + 1j * mix[1], mix[2] + 1j * mix[3]])
+        state = GridState(profile[:, None] * c[None, :], grid).normalized()
+        rho0 = DensityBlocks.from_state(state)
+        kernel = SuperoperatorKernel.from_model(model)
+        record = dyson_flavor_probabilities(model, rho0, times, order)
+        for i, t in enumerate(times):
+            rho = dyson_expand(kernel, rho0, t, order)
+            full = transition_probability(rho, "M0", validate=False)
+            assert abs(record.p_same[i] - full) < 1e-12
+            assert abs(record.p_other[i] - (1.0 - full)) < 1e-12
 
     def test_order_one_derivative_in_lambda(self):
         """d p_other / d lambda at lambda=0 from the order-1 expansion

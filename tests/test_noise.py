@@ -1,5 +1,7 @@
 """Tests for Wiener paths, mollifiers, and the autocorrelation integral."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,24 @@ class TestIEpsilonQuadrature:
         assert i_epsilon_quadrature(Mollifier("box", 2.0), 1.0) == \
             pytest.approx(0.375, abs=1e-12)
 
+    @pytest.mark.parametrize("eps,t", [(0.3, 1.0), (0.05, 0.2)])
+    @pytest.mark.parametrize("kind,closed_form", [
+        ("gaussian", lambda eps, t: 0.5 * math.erf(t / (2.0 * eps))),
+        ("asymmetric-exponential", lambda eps, t: 0.5 * (1.0 - math.exp(-t / eps))),
+        ("box", lambda eps, t: 0.5),
+        ("asymmetric-triangle", lambda eps, t: 0.5),
+    ])
+    def test_closed_forms(self, kind, closed_form, eps, t):
+        """I(eps) = 1/2 int_{-t}^{t} C(s) ds in closed form.
+
+        The Gaussian autocorrelation is a Gaussian of width eps sqrt(2); the
+        one-sided exponential gives a two-sided exponential; the box and the
+        triangle autocorrelations vanish beyond |s| = eps <= t, so their
+        whole unit mass falls inside [-t, t].
+        """
+        assert abs(i_epsilon_quadrature(Mollifier(kind, eps), t)
+                   - closed_form(eps, t)) < 1e-13
+
     def test_first_order_convergence(self):
         """|I - 1/2| shrinks at least linearly in eps for the smooth kernel."""
         errs = [abs(i_epsilon_quadrature(Mollifier("asymmetric-exponential", e), 1.0) - 0.5)
@@ -210,6 +230,28 @@ class TestIEpsilonMonteCarlo:
         estimate, stderr = i_epsilon_monte_carlo(m, 1.0, 10 ** 4, seed=11)
         exact = i_epsilon_quadrature(m, 1.0)
         assert abs(estimate - exact) < 3.0 * stderr
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_folded_trapezoid_matches_path_trapezoid(self, kind):
+        """Same draws, the trapezoid taken over each sampled Wdot(s) path."""
+        m, t, n_paths, seed, chunk = Mollifier(kind, 0.1), 1.0, 300, 5, 128
+        lo, hi = m.support()
+        h = m.eps / 8.0
+        n_inc = int(np.ceil((t - lo + hi) / h))
+        t_mid = -hi + (np.arange(n_inc) + 0.5) * h
+        s_grid = np.linspace(0.0, t, int(np.round(t / h)) + 1)
+        kernel_s = m.pdf(s_grid[:, None] - t_mid[None, :])
+        kernel_t = m.pdf(t - t_mid)
+        rng = path_generator(seed)
+        vals = []
+        for done in range(0, n_paths, chunk):
+            dw = rng.normal(0.0, np.sqrt(h), size=(min(chunk, n_paths - done), n_inc))
+            vals.append((dw @ kernel_t) * np.trapezoid(dw @ kernel_s.T, s_grid, axis=1))
+        vals = np.concatenate(vals)
+        estimate, stderr = i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=chunk)
+        assert estimate == pytest.approx(np.mean(vals), rel=1e-12)
+        assert stderr == pytest.approx(np.std(vals, ddof=1) / np.sqrt(n_paths),
+                                       rel=1e-12)
 
     def test_too_few_paths_rejected(self):
         with pytest.raises(ParameterError):
