@@ -9,9 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MASS_LABELS = ("H", "L")
-FLAVOR_LABELS = ("M0", "M0bar")
-
 # index of each mass eigenstate in the trailing axis of amplitude arrays
 IDX_H = 0
 IDX_L = 1

@@ -2,22 +2,25 @@
 
 Four drivers of the same physics: ``ito-nonlinear`` (the norm-preserving
 collapse SDE), ``ito-linear`` (the linear SDE, pathwise unitary),
-``stratonovich`` (its Stratonovich form) and ``wong-zakai`` (RK4 on the ODE
-driven by mollified noise).
+``stratonovich`` (its Stratonovich form) and ``wong-zakai`` (the ODE driven
+by mollified noise).
 
 H and every channel A_i are diagonal in the position (x) mass basis and
 commute.  So the two linear kinds -- one SDE in two calculi -- share the
-exact solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)), and
-by the linear/nonlinear (Girsanov) correspondence (Bassi, J. Phys. A 38,
-3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt + sqrt(lam) A.Y_t
-- lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
-``run_ensemble`` evaluates the linear solution at the sample times; for the
-collapse kind it steps only Y (nc reals per trajectory) and builds psi at
-the sample times, normalized by construction, so it never raises
-NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's one-step
-form; ``step_ito_linear`` (Euler-Maruyama, norm-checked) and
-``step_stratonovich`` (Heun) remain as single-step references.  Reductions
-run in fixed chunk order, so results do not depend on the worker count.
+exact solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)), the
+mollified-noise ODE has the same solution with W replaced by the mollified
+path W^eps(t) = int_0^t Wdot^eps ds (Wong & Zakai, Ann. Math. Stat. 36, 1560
+(1965)), and by the linear/nonlinear (Girsanov) correspondence (Bassi,
+J. Phys. A 38, 3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt +
+sqrt(lam) A.Y_t - lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
+``run_ensemble`` evaluates the linear and mollified solutions at the sample
+times; for the collapse kind it steps only Y (nc reals per trajectory) and
+builds psi at the sample times, normalized by construction, so it never
+raises NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's
+one-step form; ``step_ito_linear`` (Euler-Maruyama, norm-checked),
+``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
+mollified-noise ODE) remain as references.  Reductions run in fixed chunk
+order, so results do not depend on the worker count.
 """
 
 import os
@@ -36,9 +39,8 @@ INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
 
 # trajectories per chunk: as many as a full (batch, n_steps, nc) increment
-# array fits into this many bytes (counted three times for Wong-Zakai).  It
-# fixes the chunk boundaries and so the reduction order; the linear and
-# collapse kinds hold less noise at a time than it allows.
+# array fits into this many bytes.  It fixes the chunk boundaries and so the
+# reduction order; every kind holds less noise at a time than it allows.
 _MAX_NOISE_BYTES = 64 * 2 ** 20
 
 # steps per increment draw of the collapse kind
@@ -287,53 +289,44 @@ def _nonlinear_path(model, spec, amp0, n_steps, stops, rngs):
     return _collapse_path(model, amp0, len(rngs), dws, spec.dt, stops)
 
 
-def _linear_path(model, spec, amp0, n_steps, stops, rngs):
-    """Linear kinds, solved pathwise at the sample steps only.
+def _exact_path(model, spec, amp0, n_steps, stops, rngs):
+    """Linear kinds and Wong-Zakai, solved pathwise at the sample steps only.
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
-    and the Stratonovich form alike, since H and every A_i are diagonal and
-    commute.  Each trajectory draws the same Philox increments a stepping
-    scheme would, but sums them one segment (between sample steps) at a time.
+    and the Stratonovich form alike, and for the mollified-noise ODE with W
+    replaced by W^eps, since H and every A_i are diagonal and commute.  Each
+    trajectory draws the same Philox increments a stepping scheme would.
+    The linear kinds sum them one segment (between sample steps) at a time;
+    Wong-Zakai maps them to every sample step with one weight matrix,
+    W^eps(t) = sum_k dW_k [F(t - t_k) - F(-t_k)], F the mollifier's CDF and
+    t_k the midpoint of base step k.
     """
-    nc = model.n_channels
-    sd = np.sqrt(spec.dt)
+    nc, dt = model.n_channels, spec.dt
+    sd = np.sqrt(dt)
+    order = sorted(stops)
+    if spec.kind == "wong-zakai":
+        m = spec.mollifier
+        lo, hi = m.support()
+        # base increments cover all u with delta_eps(s - u) != 0, s in [0, t_max]
+        n_base = int(np.ceil((n_steps * dt - lo + hi) / dt))
+        t_mid = -hi + (np.arange(n_base) + 0.5) * dt
+        weights = m.cdf(dt * np.array(order)[:, None] - t_mid) - m.cdf(-t_mid)
+        w = np.stack([weights @ rng.normal(0.0, sd, size=(n_base, nc))
+                      for rng in rngs], axis=1)          # (n_stops, B, nc)
+    else:
+        w = np.cumsum([[rng.normal(0.0, sd, size=(b - a, nc)).sum(axis=0)
+                        for rng in rngs] for a, b in zip([0] + order, order)],
+                      axis=0)                            # (n_stops, B, nc)
     channels = model.channels.reshape(nc, -1)
     root_lam = np.sqrt(model.effective_coupling)
-    w, done = np.zeros((len(rngs), nc)), 0               # W at step ``done``
-    for stop in sorted(stops):
-        if stop > done:
-            w += [rng.normal(0.0, sd, size=(stop - done, nc)).sum(axis=0)
-                  for rng in rngs]
-            done = stop
-        field = (w @ channels).reshape((-1,) + amp0.shape)
-        phase = root_lam * field - model.hamiltonian * (stop * spec.dt)
+    for stop, w_t in zip(order, w):
+        field = (w_t @ channels).reshape((-1,) + amp0.shape)
+        phase = root_lam * field - model.hamiltonian * (stop * dt)
         yield stop, amp0 * np.exp(1j * phase)
 
 
-def _wong_zakai_path(model, spec, amp0, n_steps, stops, rngs):
-    """Mollified noise from per-trajectory Wiener paths, RK4 steps."""
-    m = spec.mollifier
-    lo, hi = m.support()
-    dt = spec.dt
-    # base increments cover all u with delta_eps(s - u) != 0, s in [0, t_max]
-    u_lo = -hi
-    n_base = int(np.ceil((n_steps * dt - lo - u_lo) / dt))
-    t_mid = u_lo + (np.arange(n_base) + 0.5) * dt
-    eval_times = 0.5 * dt * np.arange(2 * n_steps + 1)
-    kernel = m.pdf(eval_times[:, None] - t_mid[None, :])           # (n_eval, n_base)
-    dw = _increments(rngs, n_base, model.n_channels, dt)
-    wdot = np.einsum("bki,ek->bei", dw, kernel, optimize=True)                    # (B, n_eval, nc)
-    amp = np.broadcast_to(amp0, (len(rngs),) + amp0.shape).copy()
-    for k in range(max(stops) + 1):
-        if k > 0:
-            gens = [_wz_generators(model, wdot[:, 2 * k + j - 2]) for j in range(3)]
-            amp = _rk4_factorized(amp, *gens, dt)
-        if k in stops:
-            yield k, amp
-
-
-_PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _linear_path,
-          "stratonovich": _linear_path, "wong-zakai": _wong_zakai_path}
+_PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _exact_path,
+          "stratonovich": _exact_path, "wong-zakai": _exact_path}
 
 
 def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices,
@@ -396,7 +389,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
         raise ParameterError("sample times must lie in [0, t_max]")
 
     if batch_size is None:
-        per_traj = n_steps * model.n_channels * 8 * (3 if spec.kind == "wong-zakai" else 1)
+        per_traj = n_steps * model.n_channels * 8
         batch_size = int(np.clip(_MAX_NOISE_BYTES // max(per_traj, 1), 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),

@@ -8,6 +8,7 @@ The regularized noise dW/dt is the convolution of a unit-mass kernel
 approaches 1/2 as eps -> 0 for every kernel here, symmetric or not.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -21,6 +22,9 @@ MOLLIFIER_KINDS = ("gaussian", "box", "asymmetric-exponential", "asymmetric-tria
 # effective support of the Gaussian / exponential tails, in units of eps
 _GAUSS_CUT = 8.5
 _EXP_CUT = 40.0
+
+# math.erf elementwise: scipy.special costs about half a second to import
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 class UnderResolvedKernelError(ValueError):
@@ -94,8 +98,9 @@ class Mollifier:
         if self.kind not in MOLLIFIER_KINDS:
             raise ParameterError("unknown mollifier kind %r (expected one of %s)"
                                  % (self.kind, list(MOLLIFIER_KINDS)))
-        if self.eps <= 0:
-            raise ParameterError("eps must be positive, got %g" % self.eps)
+        if not 0 < self.eps < np.inf:
+            raise ParameterError("eps must be positive and finite, got %g"
+                                 % self.eps)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -108,6 +113,19 @@ class Mollifier:
             return np.where(x >= 0.0, np.exp(-np.clip(x, 0.0, None) / e) / e, 0.0)
         # asymmetric-triangle: peak at 0, linear decay to 0 at eps
         return np.where((x >= 0.0) & (x < e), 2.0 * (1.0 - x / e) / e, 0.0)
+
+    def cdf(self, x):
+        """Closed-form integral of ``pdf`` from -inf to x."""
+        x = np.asarray(x, dtype=float)
+        e = self.eps
+        if self.kind == "gaussian":
+            return 0.5 * (1.0 + _erf(x / (np.sqrt(2.0) * e)))
+        if self.kind == "box":
+            return np.clip(x / e + 0.5, 0.0, 1.0)
+        if self.kind == "asymmetric-exponential":
+            return -np.expm1(-np.clip(x, 0.0, None) / e)
+        y = np.clip(x / e, 0.0, 1.0)
+        return y * (2.0 - y)
 
     def support(self):
         """(lo, hi) outside which the kernel is (numerically) zero."""

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mesoncollapse import (DensityBlocks, Grid, GridState, IntegratorSpec,
-                           Mollifier, ModelParams, NormDivergenceError,
+from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
+                           IntegratorSpec, Mollifier, ModelParams, NormDivergenceError,
                            ParameterError, UnderResolvedKernelError,
                            build_csl, build_qmupl, integrate_wong_zakai,
                            make_gaussian_state, me_flavor_probabilities,
@@ -13,7 +13,7 @@ from mesoncollapse import (DensityBlocks, Grid, GridState, IntegratorSpec,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
 from mesoncollapse.integrators import _BLOCK_STEPS
-from mesoncollapse.noise import MollifiedNoise, path_generator
+from mesoncollapse.noise import MollifiedNoise, NoisePath, path_generator
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -201,6 +201,55 @@ class TestWongZakai:
         with pytest.raises(UnderResolvedKernelError):
             integrate_wong_zakai(state0, model, noise,
                                  0.05 * np.arange(41))
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_ensemble_path_is_rk4_limit(self, kind):
+        """One run_ensemble trajectory is the exact solution that RK4 on the
+        same base increments converges to: at fourth order for the smooth
+        Gaussian kernel, at first order for the kernels with jumps."""
+        params, grid, model, state0 = qmupl_setup(lam=0.3)
+        m = Mollifier(kind, 0.08)
+        dt, n_steps = m.eps / 4.0, 24
+        t_max = n_steps * dt
+        res = run_ensemble(model, IntegratorSpec("wong-zakai", dt, mollifier=m),
+                           state0, t_max, 1, seed=21, sample_times=[t_max],
+                           store_density=True)
+        lo, hi = m.support()
+        n_base = int(np.ceil((t_max - lo + hi) / dt))
+        dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
+                                          size=(n_base, model.n_channels))
+        noise = MollifiedNoise(base=NoisePath(21, dt, dw), mollifier=m,
+                               t_grid=None, samples=None, t0=-hi)
+        errs = []
+        for refine in (2, 4):
+            t_grid = np.linspace(0.0, t_max, refine * n_steps + 1)
+            rk4 = integrate_wong_zakai(state0, model, noise, t_grid)[-1]
+            rho = DensityBlocks.from_state(rk4).blocks
+            errs.append(np.max(np.abs(res.mean_density[0].blocks - rho)))
+        order = 4 if kind == "gaussian" else 1
+        assert errs[0] / errs[1] > 0.8 * 2 ** order
+        assert errs[1] < (1e-9 if kind == "gaussian" else 3e-3)
+
+    def test_ensemble_freezes_mass_populations(self):
+        params, _, model, state0 = qmupl_setup(lam=0.5)
+        spec = IntegratorSpec("wong-zakai", 0.005,
+                              mollifier=Mollifier("gaussian", 0.02))
+        res = run_ensemble(model, spec, state0, 1.0, 200, seed=14, n_samples=5)
+        assert np.all(res.mass_var == 0.0)
+        assert np.allclose(res.mass_mean, 0.5, rtol=0.0, atol=1e-14)
+
+    def test_ensemble_deterministic_across_worker_counts(self):
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(32, 8.0)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        spec = IntegratorSpec("wong-zakai", 0.01,
+                              mollifier=Mollifier("asymmetric-triangle", 0.04))
+        kwargs = dict(t_max=0.1, n_traj=10, seed=5, n_samples=2, batch_size=4)
+        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
+        b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
+        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestRunEnsemble:

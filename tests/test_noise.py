@@ -10,7 +10,8 @@ from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, ParameterError,
                            UnderResolvedKernelError, i_epsilon_monte_carlo,
                            i_epsilon_quadrature, kernel_autocorrelation,
                            mollify, sample_wiener)
-from mesoncollapse.noise import mollified_values, path_generator
+from mesoncollapse.noise import (_merged_breakpoints, _panel_quadrature,
+                                  mollified_values, path_generator)
 
 
 class TestSampleWiener:
@@ -84,6 +85,34 @@ class TestMollifier:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ParameterError):
             Mollifier("box", 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_nonfinite_eps_rejected(self, eps):
+        with pytest.raises(ParameterError):
+            Mollifier("gaussian", eps)
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_cdf_matches_integrated_pdf(self, kind):
+        """Inside and across every breakpoint, F(x) equals the panel
+        quadrature of the pdf from the lower support end to x."""
+        m = Mollifier(kind, 0.3)
+        lo, hi = m.support()
+        bps = m.breakpoints()
+        xs = sorted(set(np.linspace(lo, hi, 23)) | set(bps)
+                    | {b + d for b in bps for d in (-1e-3, 1e-3)})
+        for x in xs:
+            points = _merged_breakpoints(bps, lo, x) if x > lo else [lo]
+            expected = _panel_quadrature(m.pdf, points, max_panel=m.eps / 2.0)
+            assert abs(float(m.cdf(x)) - expected) < 1e-13, x
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_cdf_zero_below_one_above_nondecreasing(self, kind):
+        m = Mollifier(kind, 0.3)
+        lo, hi = m.support()
+        assert np.all(m.cdf(np.array([lo - 1.0, lo, -np.inf])) == 0.0)
+        assert np.all(m.cdf(np.array([hi, hi + 1.0, np.inf])) == 1.0)
+        x = np.linspace(lo - 0.1, hi + 0.1, 20001)
+        assert np.all(np.diff(m.cdf(x)) >= 0.0)
 
     @given(st.sampled_from(MOLLIFIER_KINDS),
            st.floats(min_value=0.01, max_value=10.0))
