@@ -5,8 +5,13 @@ product "Wdot(t) x indicator integral" into the well-defined quantity
 
     I(eps) = int_0^t E[ Wdot_eps(t) Wdot_eps(s) ] ds,
 
-which converges to 1/2 as eps -> 0 regardless of the kernel -- including
-asymmetric kernels, so no symmetry assumption is hiding anywhere.  A
+Taking the s integral first through the kernel's CDF F_eps gives
+
+    I(eps) = 1/2 - int dv delta_eps(v) F_eps(v - t) = 1/2 - P(V - V' >= t)
+
+for two independent draws V, V' from the kernel.  The 1/2 is exact for
+every unit-mass kernel and the remainder vanishes as eps -> 0 -- for
+asymmetric kernels too, so no symmetry assumption is hiding anywhere.  A
 would-be free parameter theta(0) = 1 - I is therefore pinned to 1/2.
 
 Run:  python3 demos/demo_theta_check.py

@@ -8,8 +8,9 @@ regularized noise-autocorrelation integral whose limit is 1/2.
 from .core import (DensityBlocks, Grid, GridResolutionError, GridState,
                    InvariantViolationError, ModelParams, NormDivergenceError,
                    ParameterError, flavor_to_mass, make_gaussian_state)
-from .integrators import (EnsembleResult, IntegratorSpec, integrate_wong_zakai,
-                          run_ensemble, step_ito_linear, step_ito_nonlinear,
+from .integrators import (INTEGRATOR_KINDS, WORKERS_ENV, EnsembleResult,
+                          IntegratorSpec, integrate_wong_zakai, run_ensemble,
+                          step_ito_linear, step_ito_nonlinear,
                           step_stratonovich)
 from .master_eq import (SuperoperatorKernel, TransitionRecord,
                         csl_flavor_probabilities, decoherence_rates,
@@ -21,10 +22,8 @@ from .master_eq import (SuperoperatorKernel, TransitionRecord,
                         qmupl_flavor_probabilities, transition_probability)
 from .models import (CSL, QMUPL, CollapseModel, build_csl, build_hamiltonian, build_qmupl,
                      smearing_kernel, smearing_self_convolution)
-from .integrators import INTEGRATOR_KINDS, WORKERS_ENV
 from .noise import (MOLLIFIER_KINDS, MollifiedNoise, Mollifier, NoisePath,
                     UnderResolvedKernelError, i_epsilon_monte_carlo,
-                    i_epsilon_quadrature, kernel_autocorrelation, mollify,
-                    sample_wiener)
+                    i_epsilon_quadrature, mollify, sample_wiener)
 
 __version__ = "0.1.0"

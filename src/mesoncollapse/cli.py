@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import (DensityBlocks, Grid, GridResolutionError,
-                   InvariantViolationError, ModelParams, NormDivergenceError,
-                   ParameterError, make_gaussian_state)
+from .core import (Grid, GridResolutionError, InvariantViolationError,
+                   ModelParams, NormDivergenceError, ParameterError,
+                   make_gaussian_state)
 from .integrators import IntegratorSpec, resolve_workers, run_ensemble
 from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
                         flavor_record, me_flavor_probabilities)
@@ -216,16 +216,12 @@ def run_me(config):
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
-    rho0 = _initial_density(params, grid)
+    initial = make_gaussian_state(params, grid, "M0")
     times = _sample_times(config, snap_dt=config["dt"])
-    record = me_flavor_probabilities(model, rho0, times, config["dt"],
+    record = me_flavor_probabilities(model, initial, times, config["dt"],
                                      dim=params.dim)
     _emit_record(config, record)
     return 0
-
-
-def _initial_density(params, grid):
-    return DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
 
 
 def _ensemble_spec(config):
@@ -259,7 +255,8 @@ def run_dyson(config):
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
-    record = dyson_flavor_probabilities(model, _initial_density(params, grid),
+    record = dyson_flavor_probabilities(model,
+                                        make_gaussian_state(params, grid, "M0"),
                                         _sample_times(config), config["order"])
     _emit_record(config, record)
     return 0
@@ -296,9 +293,8 @@ def run_compare(config):
     workers = resolve_workers(default=os.cpu_count() or 1)
     times = _sample_times(config, snap_dt=spec.dt)
     exact = flavor_record(params, times, _model_label(config))
-    me = me_flavor_probabilities(model, _initial_density(params, grid),
-                                 times, spec.dt, dim=params.dim)
     initial = make_gaussian_state(params, grid, "M0")
+    me = me_flavor_probabilities(model, initial, times, spec.dt, dim=params.dim)
     result = run_ensemble(model, spec, initial, float(times[-1]),
                           config["ntraj"], config["seed"], sample_times=times,
                           n_workers=workers)

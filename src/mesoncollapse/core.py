@@ -155,6 +155,16 @@ class GridState:
         proj = self.amplitudes @ np.conj(flavor_to_mass(flavor))
         return float(np.sum(np.abs(proj) ** 2) * self.grid.spacing)
 
+    def hl_diagonal(self):
+        """dx rho^HL(x, x) of the projector: psi_H(x) conj(psi_L(x)) dx, shape (n,)."""
+        amp = self.amplitudes
+        return amp[:, IDX_H] * np.conj(amp[:, IDX_L]) * self.grid.spacing
+
+    def validate(self, tol=1e-9):
+        if abs(self.norm() - 1.0) > tol:
+            raise InvariantViolationError("state norm %g is not 1" % self.norm())
+        return self
+
 
 @dataclass(frozen=True)
 class DensityBlocks:
@@ -181,6 +191,10 @@ class DensityBlocks:
     def trace(self):
         diag = np.einsum("mmxx->", self.blocks)
         return complex(diag) * self.grid.spacing
+
+    def hl_diagonal(self):
+        """dx rho^HL(x, x), shape (n,)."""
+        return np.diagonal(self.blocks[IDX_H, IDX_L]) * self.grid.spacing
 
     def hermiticity_defect(self):
         """max |rho^{mu nu}(x,y) - conj(rho^{nu mu}(y,x))|."""

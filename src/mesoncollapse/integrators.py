@@ -29,19 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityBlocks, GridState, InvariantViolationError,
-                   NormDivergenceError, ParameterError, flavor_to_mass)
+from .core import (DensityBlocks, GridState, NormDivergenceError,
+                   ParameterError, flavor_to_mass)
 from .master_eq import TransitionRecord
-from .noise import Mollifier, UnderResolvedKernelError, path_generator
+from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
+                    path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
 WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
-
-# trajectories per chunk: as many as a full (batch, n_steps, nc) increment
-# array fits into this many bytes.  It fixes the chunk boundaries and so the
-# reduction order; every kind holds less noise at a time than it allows.
-_MAX_NOISE_BYTES = 64 * 2 ** 20
 
 # steps per increment draw of the collapse kind
 _BLOCK_STEPS = 256
@@ -117,11 +113,6 @@ def _em_linear(amp, model, dW, dt):
                   + 1j * np.sqrt(lam) * field)
 
 
-def _check_normalized(state, tol=0.05):
-    if abs(state.norm() - 1.0) > tol:
-        raise InvariantViolationError("state norm %g is not 1" % state.norm())
-
-
 def step_ito_nonlinear(state, model, dW, dt):
     """Single step of the nonlinear (collapse) SDE on its driving process.
 
@@ -130,7 +121,7 @@ def step_ito_nonlinear(state, model, dW, dt):
     scheme, so iterating it reproduces one trajectory.  Never raises
     NormDivergenceError.
     """
-    _check_normalized(state)
+    state.validate(tol=0.05)
     dw = np.asarray(dW, dtype=float).reshape(1, -1)
     (_, amp), = _collapse_path(model, state.amplitudes, 1, iter([dw]), dt, {1})
     return GridState(amp[0], state.grid).normalized()
@@ -142,7 +133,7 @@ def step_ito_linear(state, model, dW, dt):
     The scheme does not preserve the norm; a step that changes it by more
     than 10 % raises NormDivergenceError instead of blowing up silently.
     """
-    _check_normalized(state)
+    state.validate(tol=0.05)
     amp = _em_linear(state.amplitudes, model, np.asarray(dW, dtype=float), dt)
     ratio = np.sqrt(np.sum(np.abs(amp) ** 2) * state.grid.spacing) / state.norm()
     if not abs(ratio - 1.0) <= 0.1:
@@ -157,7 +148,7 @@ def step_stratonovich(state, model, dW, dt):
     For the commuting diagonal generator G = -iH dt + i sqrt(lam) A dW the
     predictor-corrector pair collapses to psi (1 + G + G^2/2).
     """
-    _check_normalized(state)
+    state.validate(tol=0.05)
     field = np.einsum("...i,inm->...nm", np.asarray(dW, dtype=float),
                       model.channels, optimize=True)
     g = -1j * model.hamiltonian * dt + 1j * np.sqrt(model.effective_coupling) * field
@@ -297,21 +288,17 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
     replaced by W^eps, since H and every A_i are diagonal and commute.  Each
     trajectory draws the same Philox increments a stepping scheme would.
     The linear kinds sum them one segment (between sample steps) at a time;
-    Wong-Zakai maps them to every sample step with one weight matrix,
-    W^eps(t) = sum_k dW_k [F(t - t_k) - F(-t_k)], F the mollifier's CDF and
-    t_k the midpoint of base step k.
+    Wong-Zakai maps them to every sample step with one weight matrix from
+    ``window_integrals``, W^eps(t) = sum_k dW_k [F(t - t_k) - F(-t_k)], F
+    the mollifier's CDF and t_k the midpoint of base step k.
     """
     nc, dt = model.n_channels, spec.dt
     sd = np.sqrt(dt)
     order = sorted(stops)
     if spec.kind == "wong-zakai":
-        m = spec.mollifier
-        lo, hi = m.support()
-        # base increments cover all u with delta_eps(s - u) != 0, s in [0, t_max]
-        n_base = int(np.ceil((n_steps * dt - lo + hi) / dt))
-        t_mid = -hi + (np.arange(n_base) + 0.5) * dt
-        weights = m.cdf(dt * np.array(order)[:, None] - t_mid) - m.cdf(-t_mid)
-        w = np.stack([weights @ rng.normal(0.0, sd, size=(n_base, nc))
+        t_mid, weights = window_integrals(spec.mollifier, dt * np.array(order),
+                                          n_steps * dt, dt)
+        w = np.stack([weights @ rng.normal(0.0, sd, size=(t_mid.size, nc))
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
         w = np.cumsum([[rng.normal(0.0, sd, size=(b - a, nc)).sum(axis=0)
@@ -374,7 +361,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     if spec.kind == "wong-zakai" and spec.dt > spec.mollifier.eps / 4.0:
         raise UnderResolvedKernelError(
             "dt %g exceeds eps/4 = %g" % (spec.dt, spec.mollifier.eps / 4.0))
-    _check_normalized(initial)
+    initial.validate(tol=0.05)
     n_steps = int(round(t_max / spec.dt))
     if n_steps < 1 or abs(n_steps * spec.dt - t_max) > 1e-9 * t_max:
         raise ParameterError("t_max=%g is not an integer number of steps dt=%g"
@@ -390,7 +377,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
 
     if batch_size is None:
         per_traj = n_steps * model.n_channels * 8
-        batch_size = int(np.clip(_MAX_NOISE_BYTES // max(per_traj, 1), 1, 2500))
+        # fixes the chunk boundaries and so the reduction order; every kind
+        # holds less noise at a time than a full (batch, n_steps, nc) array
+        batch_size = int(np.clip(MAX_NOISE_BYTES // max(per_traj, 1), 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
               int(seed), range(a, b), store_density)

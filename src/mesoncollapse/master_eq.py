@@ -232,7 +232,7 @@ def me_flavor_probabilities(model, rho0, times, dt, dim=1):
     The grid is 1-D; higher dimensions factorize, so the dim-d damping
     envelope is the 1-D envelope raised to the d-th power while the phase
     is unchanged: p_same = 1/2 + Re(z) * (2|z|)^(d-1) with
-    z = int dx rho^HL(x,x).
+    z = int dx rho^HL(x,x); ``rho0`` is DensityBlocks or a pure GridState.
     """
     rho0.validate(tol=1e-8)
     times, amplitudes = _interference_series(model, rho0, times, dt)
@@ -251,14 +251,13 @@ def me_envelope(model, rho0, times, dt):
 def _hl_diagonal(model, rho0):
     """(phase, r, z0) of the x = y diagonal of the HL block.
 
-    phase = -i(m_H - m_L), r = ``_hl_diagonal_rate``, and z0 = dx rho0^HL(x,x),
-    so that z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
+    phase = -i(m_H - m_L), r = ``_hl_diagonal_rate``, and z0 = dx rho0^HL(x,x)
+    read from DensityBlocks or a pure GridState, so that z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
     The HH and LL diagonals do not decay, so the flavor probabilities are
     1/2 +- Re z(t).
     """
     phase = _phase_rates(model.hamiltonian)[IDX_H, IDX_L]
-    z0 = np.diagonal(rho0.blocks[IDX_H, IDX_L]) * rho0.grid.spacing
-    return phase, _hl_diagonal_rate(model), z0
+    return phase, _hl_diagonal_rate(model), rho0.hl_diagonal()
 
 
 def _interference_series(model, rho0, times, dt):

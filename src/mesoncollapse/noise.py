@@ -3,9 +3,11 @@
 The regularized noise dW/dt is the convolution of a unit-mass kernel
 (delta_eps) with the Wiener increments.  The deterministic integral
 
-    I(eps) = int_0^t E[ Wdot(t) Wdot(s) ] ds
+    I(eps) = int_0^t E[ Wdot(t) Wdot(s) ] ds = 1/2 - P(V - V' >= t)
 
-approaches 1/2 as eps -> 0 for every kernel here, symmetric or not.
+for two independent draws V, V' from the kernel (the s integral taken first
+through the kernel's CDF): the 1/2 is exact for every unit-mass kernel, and
+the rest vanishes as eps -> 0, symmetric or not.
 """
 
 import math
@@ -22,6 +24,13 @@ MOLLIFIER_KINDS = ("gaussian", "box", "asymmetric-exponential", "asymmetric-tria
 # effective support of the Gaussian / exponential tails, in units of eps
 _GAUSS_CUT = 8.5
 _EXP_CUT = 40.0
+
+# largest eps whose widest support plus a time span stays finite
+_MAX_EPS = np.finfo(float).max / (4.0 * _EXP_CUT)
+
+# bytes one array of Wiener increments may hold: bounds each draw of the
+# I(eps) Monte Carlo and fixes the ensemble chunk boundaries
+MAX_NOISE_BYTES = 64 * 2 ** 20
 
 # math.erf elementwise: scipy.special costs about half a second to import
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -98,15 +107,15 @@ class Mollifier:
         if self.kind not in MOLLIFIER_KINDS:
             raise ParameterError("unknown mollifier kind %r (expected one of %s)"
                                  % (self.kind, list(MOLLIFIER_KINDS)))
-        if not 0 < self.eps < np.inf:
-            raise ParameterError("eps must be positive and finite, got %g"
-                                 % self.eps)
+        if not np.finfo(float).tiny <= self.eps <= _MAX_EPS:
+            raise ParameterError("eps must lie in [%g, %g], got %g"
+                                 % (np.finfo(float).tiny, _MAX_EPS, self.eps))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         e = self.eps
         if self.kind == "gaussian":
-            return np.exp(-x ** 2 / (2.0 * e ** 2)) / (np.sqrt(2.0 * np.pi) * e)
+            return np.exp(-(x / e) ** 2 / 2.0) / (np.sqrt(2.0 * np.pi) * e)
         if self.kind == "box":
             return np.where((x >= -e / 2.0) & (x < e / 2.0), 1.0 / e, 0.0)
         if self.kind == "asymmetric-exponential":
@@ -139,15 +148,8 @@ class Mollifier:
         return (0.0, e)
 
     def breakpoints(self):
-        """Points where the kernel is non-smooth, including support ends."""
-        lo, hi = self.support()
-        if self.kind == "gaussian":
-            return [lo, hi]
-        if self.kind == "box":
-            return [lo, hi]
-        if self.kind == "asymmetric-exponential":
-            return [0.0, hi]
-        return [0.0, self.eps]
+        """Points where the kernel is non-smooth: for every kind, the support ends."""
+        return list(self.support())
 
 
 @dataclass(frozen=True)
@@ -230,73 +232,68 @@ def _merged_breakpoints(values, lo, hi):
     return [lo] + vals + [hi]
 
 
-def kernel_autocorrelation(m, s):
-    """C(s) = int delta_eps(u) delta_eps(s + u) du for a scalar shift s."""
+def window_integrals(m, times, t_end, h):
+    """Increment midpoints t_k and the kernel's exact window integrals w.
+
+    t_k steps by ``h`` over every u with delta_eps(s - u) != 0 for some s in
+    [0, t_end]; w[j, k] = F(t_j - t_k) - F(-t_k) = int_0^{t_j} delta_eps(s - t_k) ds.
+    Raises ParameterError if one channel's increments exceed MAX_NOISE_BYTES.
+    """
     lo, hi = m.support()
-    a = max(lo, lo - s)
-    b = min(hi, hi - s)
-    if b <= a:
-        return 0.0
-    bps = list(m.breakpoints()) + [bp - s for bp in m.breakpoints()]
-    points = _merged_breakpoints(bps, a, b)
-    return _panel_quadrature(lambda u: m.pdf(u) * m.pdf(s + u),
-                             points, max_panel=m.eps / 2.0)
+    span = t_end - lo + hi
+    if not span <= h * (MAX_NOISE_BYTES // 8):
+        raise ParameterError(
+            "a noise path over %g at step %g needs more than %d increments"
+            % (span, h, MAX_NOISE_BYTES // 8))
+    n = int(np.ceil(span / h))
+    t_mid = -hi + (np.arange(n) + 0.5) * h
+    times = np.asarray(times, dtype=float)
+    return t_mid, m.cdf(times[:, None] - t_mid) - m.cdf(-t_mid)
 
 
 def i_epsilon_quadrature(m, t):
     """Deterministic value of the regularized autocorrelation integral.
 
-    Computed from the change-of-variables reduction
-    I = 1/2 * int_{-t}^{t} C(s) ds with C the kernel autocorrelation;
-    equals the raw double integral int_0^t ds int du delta(t-u) delta(s-u).
+    I = 1/2 - int dv delta_eps(v) F_eps(v - t) = 1/2 - P(V - V' >= t), the
+    double integral int_0^t ds int du delta(t-u) delta(s-u) with the s
+    integral in closed form: one panel Gauss-Legendre pass over the
+    kernel's breakpoints and the same breakpoints shifted by t.
     """
     if t <= 0:
         raise ParameterError("t must be positive, got %g" % t)
     lo, hi = m.support()
-    a = max(-t, lo - hi)
-    b = min(t, hi - lo)
-    if b <= a:
-        return 0.0
-    diffs = [bi - bj for bi in m.breakpoints() for bj in m.breakpoints()]
-    points = _merged_breakpoints(diffs, a, b)
-    vectorized = np.vectorize(lambda s: kernel_autocorrelation(m, s))
-    return 0.5 * _panel_quadrature(vectorized, points, max_panel=m.eps / 2.0)
+    bps = m.breakpoints()
+    points = _merged_breakpoints(list(bps) + [b + t for b in bps], lo, hi)
+    return 0.5 - _panel_quadrature(lambda v: m.pdf(v) * m.cdf(v - t),
+                                   points, m.eps / 2.0)
 
 
 def i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=2000):
     """Sample-average estimate of the autocorrelation integral.
 
     Returns (estimate, stderr).  Each path contributes
-    Wdot(t) * trapezoid(Wdot(s), s in [0, t]).  The trapezoid is linear in
-    the increments, so it is folded into one kernel vector up front and each
-    path costs two dot products with its increments.
+    Wdot(t) * int_0^t Wdot(s) ds for increments of step eps/8; both factors
+    are linear in the increments (the integral exactly, through
+    ``window_integrals``), so each path costs two dot products.  At most
+    ``chunk`` paths are drawn at a time, fewer if their increments would
+    exceed MAX_NOISE_BYTES.
     """
     if t <= 0:
         raise ParameterError("t must be positive, got %g" % t)
     if n_paths < 100:
         raise ParameterError("n_paths must be >= 100, got %d" % n_paths)
-    lo, hi = m.support()
+    if chunk < 1:
+        raise ParameterError("chunk must be >= 1, got %d" % chunk)
     h = m.eps / 8.0
-    # increments cover every u with delta_eps(s - u) != 0 for s in [0, t]
-    u_lo = -hi
-    u_hi = t - lo
-    n_inc = int(np.ceil((u_hi - u_lo) / h))
-    t_mid = u_lo + (np.arange(n_inc) + 0.5) * h
-    n_s = int(np.round(t / h)) + 1
-    s_grid = np.linspace(0.0, t, n_s)
-    kernel_s = m.pdf(s_grid[:, None] - t_mid[None, :])   # (n_s, n_inc)
-    half_ds = np.diff(s_grid) / 2.0
-    w_trap = np.zeros(n_s)                               # trapezoid weights on s_grid
-    w_trap[:-1] += half_ds
-    w_trap[1:] += half_ds
-    # columns: Wdot(t) and trapezoid(Wdot(s), s) as linear maps of dW
-    kernels = np.stack([m.pdf(t - t_mid), w_trap @ kernel_s], axis=1)  # (n_inc, 2)
+    t_mid, window = window_integrals(m, [t], t, h)
+    kernels = np.stack([m.pdf(t - t_mid), window[0]], axis=1)  # (n_inc, 2)
+    chunk = min(chunk, MAX_NOISE_BYTES // (8 * t_mid.size))
     rng = path_generator(seed)
     vals = np.empty(n_paths)
     done = 0
     while done < n_paths:
         b = min(chunk, n_paths - done)
-        dw = rng.normal(0.0, np.sqrt(h), size=(b, n_inc))
+        dw = rng.normal(0.0, np.sqrt(h), size=(b, t_mid.size))
         wdot_t, integral = (dw @ kernels).T
         vals[done:done + b] = wdot_t * integral
         done += b

@@ -1,7 +1,11 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,22 @@ from mesoncollapse.cli import main
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(args):
     return main(args)
+
+
+def run_cli_process(args):
+    """The CLI in a fresh interpreter: (exit status, stdout, stderr)."""
+    env = dict(os.environ, MESONCOLLAPSE_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mesoncollapse.cli"] + args,
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def read_table(path):
@@ -159,6 +177,24 @@ class TestExitCodes:
         _, _, rows = read_table(out)
         assert len(rows) == 2
         assert all(np.isfinite(float(cell)) for row in rows for cell in row[:6])
+
+    @pytest.mark.parametrize("args", [
+        ["theta-check", "--tmax", "1", "--eps", "1e-300", "--ntraj", "100"],
+        ["theta-check", "--tmax", "1", "--eps", "1e300", "--ntraj", "100"],
+        ["theta-check", "--tmax", "1", "--eps", "5e-324", "--ntraj", "100"],
+        ["theta-check", "--tmax", "1", "--eps", "1e308", "--ntraj", "100"],
+        ["me", "--lambda", "1e300", "--tmax", "1", "--samples", "2",
+         "--grid-points", "32"],
+        ["ensemble", "--lambda", "1e300", "--tmax", "0.01", "--dt", "0.001",
+         "--samples", "2", "--ntraj", "4", "--grid-points", "32"],
+    ])
+    def test_extreme_values_keep_exit_contract(self, args):
+        """0, 1 or 2, never a traceback, and no NaN cell on success."""
+        code, out, err = run_cli_process(args)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert "nan" not in out.lower()
 
 
 class TestThetaCheck:

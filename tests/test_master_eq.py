@@ -194,6 +194,25 @@ class TestGridMeDiagonal:
             assert abs(record.p_same[i] - (0.5 + z.real)) < 1e-12
             assert abs(envelope[i] - 2.0 * abs(z)) < 1e-12
 
+    @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
+    def test_state_reads_same_diagonal_as_its_projector(self, setup):
+        """A GridState and its DensityBlocks give bit-identical ME and Dyson rows."""
+        params, grid, model, rho0 = setup()
+        state = make_gaussian_state(params, grid, "M0")
+        assert np.array_equal(state.hl_diagonal(), rho0.hl_diagonal())
+        times = np.array([0.3, 0.9, 1.5])
+        assert np.array_equal(me_flavor_probabilities(model, state, times, 0.05).p_same,
+                              me_flavor_probabilities(model, rho0, times, 0.05).p_same)
+        assert np.array_equal(dyson_flavor_probabilities(model, state, times, 2).p_same,
+                              dyson_flavor_probabilities(model, rho0, times, 2).p_same)
+
+    def test_unnormalized_state_rejected(self):
+        params, grid, model, _ = qmupl_setup()
+        state = make_gaussian_state(params, grid, "M0")
+        with pytest.raises(InvariantViolationError):
+            me_flavor_probabilities(model, GridState(2.0 * state.amplitudes, grid),
+                                    [0.5], dt=0.05)
+
     def test_negative_time_rejected(self):
         _, _, model, rho0 = qmupl_setup()
         with pytest.raises(ParameterError):

@@ -1,17 +1,58 @@
 """Tests for Wiener paths, mollifiers, and the autocorrelation integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, ParameterError,
-                           UnderResolvedKernelError, i_epsilon_monte_carlo,
-                           i_epsilon_quadrature, kernel_autocorrelation,
+from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, NoisePath,
+                           ParameterError, UnderResolvedKernelError,
+                           i_epsilon_monte_carlo, i_epsilon_quadrature,
                            mollify, sample_wiener)
-from mesoncollapse.noise import (_merged_breakpoints, _panel_quadrature,
-                                  mollified_values, path_generator)
+from mesoncollapse.noise import (MAX_NOISE_BYTES, _merged_breakpoints,
+                                 _panel_quadrature, mollified_values,
+                                 path_generator, window_integrals)
+
+
+def kernel_autocorrelation(m, s):
+    """C(s) = int delta_eps(u) delta_eps(s + u) du for a scalar shift s."""
+    lo, hi = m.support()
+    a = max(lo, lo - s)
+    b = min(hi, hi - s)
+    if b <= a:
+        return 0.0
+    bps = list(m.breakpoints()) + [bp - s for bp in m.breakpoints()]
+    points = _merged_breakpoints(bps, a, b)
+    return _panel_quadrature(lambda u: m.pdf(u) * m.pdf(s + u),
+                             points, max_panel=m.eps / 2.0)
+
+
+def i_epsilon_nested(m, t):
+    """Reference I(eps) = 1/2 int_{-t}^{t} C(s) ds by nested quadrature.
+
+    The change of variables u -> s - u of the raw double integral, with C
+    itself a quadrature at every outer node: independent of the CDF.
+    """
+    lo, hi = m.support()
+    a = max(-t, lo - hi)
+    b = min(t, hi - lo)
+    if b <= a:
+        return 0.0
+    diffs = [bi - bj for bi in m.breakpoints() for bj in m.breakpoints()]
+    points = _merged_breakpoints(diffs, a, b)
+    vectorized = np.vectorize(lambda s: kernel_autocorrelation(m, s))
+    return 0.5 * _panel_quadrature(vectorized, points, max_panel=m.eps / 2.0)
+
+
+def traced_peak(call):
+    """(call(), peak bytes traced by tracemalloc during the call)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSampleWiener:
@@ -246,6 +287,19 @@ class TestIEpsilonQuadrature:
         with pytest.raises(ParameterError):
             i_epsilon_quadrature(Mollifier("box", 0.1), 0.0)
 
+    @given(st.sampled_from(MOLLIFIER_KINDS),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-2, max_value=10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_nested_reference(self, kind, eps, t):
+        """One CDF pass equals the nested quadrature, lies in [0, 1/2] and
+        does not decrease in t; eps > t included."""
+        m = Mollifier(kind, eps)
+        value = i_epsilon_quadrature(m, t)
+        assert abs(value - i_epsilon_nested(m, t)) < 1e-13
+        assert 0.0 <= value <= 0.5
+        assert i_epsilon_quadrature(m, 1.5 * t) >= value
+
     def test_autocorrelation_even_for_symmetric_kernel(self):
         m = Mollifier("gaussian", 0.2)
         assert kernel_autocorrelation(m, 0.13) == \
@@ -261,26 +315,57 @@ class TestIEpsilonMonteCarlo:
         assert abs(estimate - exact) < 3.0 * stderr
 
     @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
-    def test_folded_trapezoid_matches_path_trapezoid(self, kind):
-        """Same draws, the trapezoid taken over each sampled Wdot(s) path."""
+    def test_window_integral_matches_fine_trapezoid(self, kind):
+        """Same draws: each path's exact window integral against a trapezoid
+        of its sampled Wdot(s) on a fine s grid, at O(ds^2).
+
+        ds = h/3 and h/9 put every kernel jump (at a half-integer multiple
+        of h) at a cell midpoint, where the trapezoid stays second order.
+        """
         m, t, n_paths, seed, chunk = Mollifier(kind, 0.1), 1.0, 300, 5, 128
-        lo, hi = m.support()
         h = m.eps / 8.0
-        n_inc = int(np.ceil((t - lo + hi) / h))
-        t_mid = -hi + (np.arange(n_inc) + 0.5) * h
-        s_grid = np.linspace(0.0, t, int(np.round(t / h)) + 1)
-        kernel_s = m.pdf(s_grid[:, None] - t_mid[None, :])
-        kernel_t = m.pdf(t - t_mid)
-        rng = path_generator(seed)
-        vals = []
-        for done in range(0, n_paths, chunk):
-            dw = rng.normal(0.0, np.sqrt(h), size=(min(chunk, n_paths - done), n_inc))
-            vals.append((dw @ kernel_t) * np.trapezoid(dw @ kernel_s.T, s_grid, axis=1))
-        vals = np.concatenate(vals)
-        estimate, stderr = i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=chunk)
-        assert estimate == pytest.approx(np.mean(vals), rel=1e-12)
-        assert stderr == pytest.approx(np.std(vals, ddof=1) / np.sqrt(n_paths),
-                                       rel=1e-12)
+        t_mid, window = window_integrals(m, [t], t, h)
+        dw = path_generator(seed).normal(0.0, np.sqrt(h), size=(n_paths, t_mid.size))
+        exact = dw @ window[0]
+        paths = NoisePath(seed=seed, dt=h, increments=dw.T)   # one path per channel
+        errs = []
+        for ds in (h / 3.0, h / 9.0):
+            s = np.linspace(0.0, t, int(round(t / ds)) + 1)
+            trap = np.trapezoid(mollified_values(paths, m, s, t0=t_mid[0] - h / 2.0),
+                                s, axis=0)
+            errs.append(np.max(np.abs(trap - exact)))
+            assert errs[-1] < 100.0 * ds ** 2
+        assert errs[1] <= errs[0] / 8.0 + 1e-13
+        wdot_t = dw @ m.pdf(t - t_mid)
+        estimate, _ = i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=chunk)
+        assert abs(estimate - np.mean(wdot_t * trap)) <= \
+            np.mean(np.abs(wdot_t)) * 100.0 * ds ** 2
+
+    def test_draws_stay_within_noise_cap(self):
+        """eps = t/1000 draws its paths in chunks, not as one s-grid matrix."""
+        _, peak = traced_peak(lambda: i_epsilon_monte_carlo(
+            Mollifier("gaussian", 1e-3), 1.0, 200, seed=1))
+        assert peak < 50 * 2 ** 20
+
+    def test_chunk_shrinks_to_noise_cap_without_changing_draws(self, monkeypatch):
+        m = Mollifier("gaussian", 0.01)
+        full = i_epsilon_monte_carlo(m, 1.0, 1000, seed=3)
+        n_inc = window_integrals(m, [1.0], 1.0, m.eps / 8.0)[0].size
+        monkeypatch.setattr("mesoncollapse.noise.MAX_NOISE_BYTES", 8 * n_inc * 16)
+        capped, peak = traced_peak(lambda: i_epsilon_monte_carlo(m, 1.0, 1000, seed=3))
+        assert peak < 2 ** 20     # one full draw would take 7.5 MB
+        # same draws; only the batch shape of the matrix products differs
+        assert capped == pytest.approx(full, rel=1e-12)
+
+    def test_path_beyond_noise_cap_rejected(self):
+        t = 1.0
+        eps = 8.0 * t / (MAX_NOISE_BYTES // 8)
+        with pytest.raises(ParameterError):
+            i_epsilon_monte_carlo(Mollifier("box", eps), t, 100, seed=1)
+
+    def test_nonpositive_chunk_rejected(self):
+        with pytest.raises(ParameterError):
+            i_epsilon_monte_carlo(Mollifier("box", 0.1), 1.0, 100, seed=1, chunk=0)
 
     def test_too_few_paths_rejected(self):
         with pytest.raises(ParameterError):
