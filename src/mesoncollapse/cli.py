@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import (Grid, GridResolutionError, InvariantViolationError,
-                   ModelParams, NormDivergenceError, ParameterError,
-                   make_gaussian_state)
+from .core import (DensityBlocks, Grid, GridResolutionError,
+                   InvariantViolationError, ModelParams, NormDivergenceError,
+                   ParameterError, make_gaussian_state)
 from .integrators import IntegratorSpec, resolve_workers, run_ensemble
 from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
                         flavor_record, me_flavor_probabilities)
@@ -216,9 +216,9 @@ def run_me(config):
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
-    initial = make_gaussian_state(params, grid, "M0")
+    rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
     times = _sample_times(config, snap_dt=config["dt"])
-    record = me_flavor_probabilities(model, initial, times, config["dt"],
+    record = me_flavor_probabilities(model, rho0, times, config["dt"],
                                      dim=params.dim)
     _emit_record(config, record)
     return 0
@@ -294,7 +294,8 @@ def run_compare(config):
     times = _sample_times(config, snap_dt=spec.dt)
     exact = flavor_record(params, times, _model_label(config))
     initial = make_gaussian_state(params, grid, "M0")
-    me = me_flavor_probabilities(model, initial, times, spec.dt, dim=params.dim)
+    me = me_flavor_probabilities(model, DensityBlocks.from_state(initial),
+                                 times, spec.dt, dim=params.dim)
     result = run_ensemble(model, spec, initial, float(times[-1]),
                           config["ntraj"], config["seed"], sample_times=times,
                           n_workers=workers)

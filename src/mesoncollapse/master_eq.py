@@ -223,7 +223,7 @@ def transition_probability(rho, out, validate=True):
 
 def interference_integral(rho):
     """int dx rho^{HL}(x, x), the complex oscillation amplitude."""
-    return complex(np.sum(np.diagonal(rho.blocks[IDX_H, IDX_L])) * rho.grid.spacing)
+    return complex(np.sum(rho.hl_diagonal()))
 
 
 def me_flavor_probabilities(model, rho0, times, dt, dim=1):
@@ -252,7 +252,8 @@ def _hl_diagonal(model, rho0):
     """(phase, r, z0) of the x = y diagonal of the HL block.
 
     phase = -i(m_H - m_L), r = ``_hl_diagonal_rate``, and z0 = dx rho0^HL(x,x)
-    read from DensityBlocks or a pure GridState, so that z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
+    read from DensityBlocks or a pure GridState, so that
+    z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
     The HH and LL diagonals do not decay, so the flavor probabilities are
     1/2 +- Re z(t).
     """

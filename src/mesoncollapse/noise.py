@@ -25,7 +25,8 @@ MOLLIFIER_KINDS = ("gaussian", "box", "asymmetric-exponential", "asymmetric-tria
 _GAUSS_CUT = 8.5
 _EXP_CUT = 40.0
 
-# largest eps whose widest support plus a time span stays finite
+# largest eps whose widest support, _EXP_CUT * eps, stays well inside the
+# float range
 _MAX_EPS = np.finfo(float).max / (4.0 * _EXP_CUT)
 
 # bytes one array of Wiener increments may hold: bounds each draw of the
@@ -147,10 +148,6 @@ class Mollifier:
             return (0.0, _EXP_CUT * e)
         return (0.0, e)
 
-    def breakpoints(self):
-        """Points where the kernel is non-smooth: for every kind, the support ends."""
-        return list(self.support())
-
 
 @dataclass(frozen=True)
 class MollifiedNoise:
@@ -241,7 +238,7 @@ def window_integrals(m, times, t_end, h):
     """
     lo, hi = m.support()
     span = t_end - lo + hi
-    if not span <= h * (MAX_NOISE_BYTES // 8):
+    if not span / h <= MAX_NOISE_BYTES // 8:
         raise ParameterError(
             "a noise path over %g at step %g needs more than %d increments"
             % (span, h, MAX_NOISE_BYTES // 8))
@@ -262,8 +259,7 @@ def i_epsilon_quadrature(m, t):
     if t <= 0:
         raise ParameterError("t must be positive, got %g" % t)
     lo, hi = m.support()
-    bps = m.breakpoints()
-    points = _merged_breakpoints(list(bps) + [b + t for b in bps], lo, hi)
+    points = _merged_breakpoints([lo, hi, lo + t, hi + t], lo, hi)
     return 0.5 - _panel_quadrature(lambda v: m.pdf(v) * m.cdf(v - t),
                                    points, m.eps / 2.0)
 

@@ -183,6 +183,7 @@ class TestExitCodes:
         ["theta-check", "--tmax", "1", "--eps", "1e300", "--ntraj", "100"],
         ["theta-check", "--tmax", "1", "--eps", "5e-324", "--ntraj", "100"],
         ["theta-check", "--tmax", "1", "--eps", "1e308", "--ntraj", "100"],
+        ["theta-check", "--tmax", "1.7e308", "--eps", "1e306", "--ntraj", "100"],
         ["me", "--lambda", "1e300", "--tmax", "1", "--samples", "2",
          "--grid-points", "32"],
         ["ensemble", "--lambda", "1e300", "--tmax", "0.01", "--dt", "0.001",

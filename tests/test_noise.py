@@ -23,7 +23,7 @@ def kernel_autocorrelation(m, s):
     b = min(hi, hi - s)
     if b <= a:
         return 0.0
-    bps = list(m.breakpoints()) + [bp - s for bp in m.breakpoints()]
+    bps = list(m.support()) + [bp - s for bp in m.support()]
     points = _merged_breakpoints(bps, a, b)
     return _panel_quadrature(lambda u: m.pdf(u) * m.pdf(s + u),
                              points, max_panel=m.eps / 2.0)
@@ -40,7 +40,7 @@ def i_epsilon_nested(m, t):
     b = min(t, hi - lo)
     if b <= a:
         return 0.0
-    diffs = [bi - bj for bi in m.breakpoints() for bj in m.breakpoints()]
+    diffs = [bi - bj for bi in m.support() for bj in m.support()]
     points = _merged_breakpoints(diffs, a, b)
     vectorized = np.vectorize(lambda s: kernel_autocorrelation(m, s))
     return 0.5 * _panel_quadrature(vectorized, points, max_panel=m.eps / 2.0)
@@ -138,7 +138,7 @@ class TestMollifier:
         quadrature of the pdf from the lower support end to x."""
         m = Mollifier(kind, 0.3)
         lo, hi = m.support()
-        bps = m.breakpoints()
+        bps = m.support()
         xs = sorted(set(np.linspace(lo, hi, 23)) | set(bps)
                     | {b + d for b in bps for d in (-1e-3, 1e-3)})
         for x in xs:
