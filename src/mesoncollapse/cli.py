@@ -143,7 +143,8 @@ def _sample_times(config, snap_dt=None):
     """Evenly spaced sample times in (0, tmax], snapped to multiples of dt."""
     times = config["tmax"] * np.arange(1, config["samples"] + 1) / config["samples"]
     if snap_dt is not None:
-        times = np.round(times / snap_dt) * snap_dt
+        with np.errstate(over="ignore"):     # an infinite step count is rejected later
+            times = np.round(times / snap_dt) * snap_dt
         times = np.unique(times[times > 0])
         if times.size == 0:
             raise ParameterError("tmax=%g is below one step dt=%g"

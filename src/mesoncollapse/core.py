@@ -109,10 +109,42 @@ class Grid:
         return self.origin + self.spacing * np.arange(self.n_points)
 
 
+# bytes of one row slab of a DensityBlocks Hermiticity check
+_SLAB_BYTES = 2 ** 20
+
+
 def _frozen_array(a, dtype):
+    """``a`` as a read-only ndarray of ``dtype``.
+
+    An ndarray of that dtype that is read-only down to the memory it owns is
+    returned as is; anything else is copied and frozen, so a caller's
+    writeable array is never frozen or aliased.
+    """
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None and isinstance(a, np.ndarray) and a.dtype == dtype:
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def integer_steps(times, dt, scale, message):
+    """round(times / dt) as int64, each time checked to be that many steps.
+
+    Raises ParameterError(message) when times / dt is not finite or does not
+    fit in int64, or when a time is off its step by more than 1e-9 * scale.
+    """
+    times = np.asarray(times, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = times / dt
+    if not np.all(np.abs(ratio) < 2.0 ** 63):          # NaN fails too
+        raise ParameterError(message)
+    steps = np.round(ratio).astype(np.int64)
+    if np.any(np.abs(steps * dt - times) > 1e-9 * scale):
+        raise ParameterError(message)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -161,14 +193,20 @@ class GridState:
         return amp[:, IDX_H] * np.conj(amp[:, IDX_L]) * self.grid.spacing
 
     def validate(self, tol=1e-9):
-        if abs(self.norm() - 1.0) > tol:
-            raise InvariantViolationError("state norm %g is not 1" % self.norm())
+        norm = self.norm()
+        if abs(norm - 1.0) > tol:
+            raise InvariantViolationError("state norm %g is not 1" % norm)
         return self
 
 
 @dataclass(frozen=True)
 class DensityBlocks:
-    """Averaged density matrix rho^{mu nu}(x, y), stored as (2, 2, n, n)."""
+    """Averaged density matrix rho^{mu nu}(x, y), stored as (2, 2, n, n).
+
+    The blocks are held in one read-only array.  A read-only complex array
+    that owns its memory is kept without a copy, so a caller that builds a
+    fresh array freezes it (``setflags(write=False)``) before handing it over.
+    """
 
     blocks: np.ndarray
     grid: Grid
@@ -186,6 +224,7 @@ class DensityBlocks:
         """Projector |phi><phi| of a pure GridState."""
         amp = state.amplitudes  # (n, 2)
         blocks = np.einsum("xm,yn->mnxy", amp, np.conj(amp))
+        blocks.setflags(write=False)
         return cls(blocks, state.grid)
 
     def trace(self):
@@ -197,16 +236,28 @@ class DensityBlocks:
         return np.diagonal(self.blocks[IDX_H, IDX_L]) * self.grid.spacing
 
     def hermiticity_defect(self):
-        """max |rho^{mu nu}(x,y) - conj(rho^{nu mu}(y,x))|."""
-        return float(np.max(np.abs(self.blocks
-                                   - np.conj(np.transpose(self.blocks, (1, 0, 3, 2))))))
+        """max |rho^{mu nu}(x,y) - conj(rho^{nu mu}(y,x))|.
+
+        The (nu, mu) entries repeat the (mu, nu) ones in absolute value, so
+        only mu <= nu is visited, in row slabs of about _SLAB_BYTES: the check
+        never allocates an array of the density's size.
+        """
+        b = self.blocks
+        n = self.grid.n_points
+        rows = max(1, _SLAB_BYTES // (b.itemsize * n))
+        worst = [np.max(np.abs(b[mu, nu, x:x + rows]
+                               - np.conj(b[nu, mu, :, x:x + rows].T)))
+                 for mu, nu in ((0, 0), (0, 1), (1, 1))
+                 for x in range(0, n, rows)]
+        return float(np.max(worst))
 
     def validate(self, tol=1e-9):
-        if self.hermiticity_defect() > tol:
+        defect = self.hermiticity_defect()
+        if not defect <= tol:
             raise InvariantViolationError(
-                "density blocks are not Hermitian (defect %g)" % self.hermiticity_defect())
+                "density blocks are not Hermitian (defect %g)" % defect)
         tr = self.trace()
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise InvariantViolationError("trace is %s, expected 1" % (tr,))
         return self
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DensityBlocks, GridState, NormDivergenceError,
-                   ParameterError, flavor_to_mass)
+                   ParameterError, flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
                     path_generator, window_integrals)
@@ -253,11 +253,19 @@ def _new_accumulators(n_times, n_points, store_density):
     return acc
 
 
+def _normal(rng, sd, shape):
+    """rng.normal(0.0, sd, shape) bit for bit, scaled in place after the draw."""
+    z = rng.standard_normal(shape)
+    z *= sd
+    return z
+
+
 def _increments(rngs, n_steps, nc, dt):
     """The next ``n_steps`` increments of each Philox stream, (B, n_steps, nc)."""
     dw = np.empty((len(rngs), n_steps, nc))
     for j, rng in enumerate(rngs):
-        dw[j] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, nc))
+        rng.standard_normal(out=dw[j])
+    dw *= np.sqrt(dt)
     return dw
 
 
@@ -298,10 +306,10 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
     if spec.kind == "wong-zakai":
         t_mid, weights = window_integrals(spec.mollifier, dt * np.array(order),
                                           n_steps * dt, dt)
-        w = np.stack([weights @ rng.normal(0.0, sd, size=(t_mid.size, nc))
+        w = np.stack([weights @ _normal(rng, sd, (t_mid.size, nc))
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
-        w = np.cumsum([[rng.normal(0.0, sd, size=(b - a, nc)).sum(axis=0)
+        w = np.cumsum([[_normal(rng, sd, (b - a, nc)).sum(axis=0)
                         for rng in rngs] for a, b in zip([0] + order, order)],
                       axis=0)                            # (n_stops, B, nc)
     channels = model.channels.reshape(nc, -1)
@@ -362,18 +370,28 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
         raise UnderResolvedKernelError(
             "dt %g exceeds eps/4 = %g" % (spec.dt, spec.mollifier.eps / 4.0))
     initial.validate(tol=0.05)
-    n_steps = int(round(t_max / spec.dt))
+    with np.errstate(over="ignore"):
+        ratio = t_max / spec.dt
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
     if n_steps < 1 or abs(n_steps * spec.dt - t_max) > 1e-9 * t_max:
         raise ParameterError("t_max=%g is not an integer number of steps dt=%g"
                              % (t_max, spec.dt))
     if sample_times is None:
         sample_times = t_max * np.arange(1, n_samples + 1) / n_samples
     sample_times = np.asarray(sample_times, dtype=float)
-    sample_steps = np.round(sample_times / spec.dt).astype(int)
-    if np.any(np.abs(sample_steps * spec.dt - sample_times) > 1e-9 * max(t_max, spec.dt)):
-        raise ParameterError("sample times must be integer multiples of dt")
+    sample_steps = integer_steps(sample_times, spec.dt, max(t_max, spec.dt),
+                                 "sample times must be integer multiples of dt")
     if np.any((sample_steps < 0) | (sample_steps > n_steps)):
         raise ParameterError("sample times must lie in [0, t_max]")
+    if spec.kind in ("ito-linear", "stratonovich"):
+        # _exact_path draws one sample-to-sample segment at a time
+        stops = np.unique(np.append(sample_steps, 0))
+        segment_bytes = int(np.max(np.diff(stops), initial=0)) * model.n_channels * 8
+        if segment_bytes > MAX_NOISE_BYTES:
+            raise ParameterError(
+                "a segment between sample times needs %d noise bytes, above "
+                "the %d-byte cap; use a larger dt or more samples"
+                % (segment_bytes, MAX_NOISE_BYTES))
 
     if batch_size is None:
         per_traj = n_steps * model.n_channels * 8
@@ -405,8 +423,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass_sum"], total["mass_sq"])
     mean_density = None
     if store_density:
-        mean_density = tuple(DensityBlocks(b / n, model.grid)
-                             for b in total["density_sum"])
+        density = total["density_sum"] / n
+        density.setflags(write=False)
+        mean_density = tuple(DensityBlocks(b, model.grid) for b in density)
     return EnsembleResult(times=sample_times, n_traj=n_traj,
                           flavor_mean=flavor_mean, flavor_stderr=flavor_stderr,
                           mass_mean=mass_mean, mass_stderr=mass_stderr,

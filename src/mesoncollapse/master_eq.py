@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (IDX_H, IDX_L, DensityBlocks, InvariantViolationError,
-                   ParameterError, flavor_to_mass)
+                   ParameterError, flavor_to_mass, integer_steps)
 from .models import QMUPL, smearing_self_convolution
 
 RECORD_COLUMNS = ("time", "p_same", "p_other", "stderr_same", "stderr_other", "source")
@@ -136,6 +136,7 @@ def evolve_me_numeric(rho0, model, t, dt, validate=True):
     blocks = np.array(rho0.blocks)
     for _ in range(n_steps):
         blocks *= step
+    blocks.setflags(write=False)
     return DensityBlocks(blocks, rho0.grid)
 
 
@@ -150,7 +151,9 @@ def evolve_me_qmupl_exact(rho0, params, t):
     mx = m[:, None, None, None] * x[None, None, :, None]
     my = m[None, :, None, None] * x[None, None, None, :]
     rate = params.lam * (mx - my) ** 2 / (2.0 * params.m0 ** 2)
-    return DensityBlocks(rho0.blocks * np.exp(_generator(m, rate) * t), rho0.grid)
+    blocks = rho0.blocks * np.exp(_generator(m, rate) * t)
+    blocks.setflags(write=False)
+    return DensityBlocks(blocks, rho0.grid)
 
 
 def evolve_me_csl_exact(rho0, params, t):
@@ -167,7 +170,9 @@ def evolve_me_csl_exact(rho0, params, t):
     mprod = m[:, None] * m[None, :]
     rate = (params.gamma / (2.0 * params.m0 ** 2)
             * (msq[:, :, None, None] * gg0 - 2.0 * mprod[:, :, None, None] * gg))
-    return DensityBlocks(rho0.blocks * np.exp(_generator(m, rate) * t), rho0.grid)
+    blocks = rho0.blocks * np.exp(_generator(m, rate) * t)
+    blocks.setflags(write=False)
+    return DensityBlocks(blocks, rho0.grid)
 
 
 def qmupl_flavor_probabilities(params, t):
@@ -271,9 +276,8 @@ def _interference_series(model, rho0, times, dt):
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ParameterError("times must be nonnegative")
-    steps = np.round(times / dt).astype(int)
-    if np.any(np.abs(steps * dt - times) > 1e-9 * max(dt, float(np.max(times, initial=dt)))):
-        raise ParameterError("every sample time must be an integer multiple of dt")
+    steps = integer_steps(times, dt, max(dt, float(np.max(times, initial=dt))),
+                          "every sample time must be an integer multiple of dt")
     phase, rate, z0 = _hl_diagonal(model, rho0)
     return times, np.exp(np.multiply.outer(steps * dt, phase - rate)) @ z0
 
@@ -319,4 +323,6 @@ def dyson_expand(kernel, rho0, t, order):
     """
     series = _taylor_exp(-kernel.rate * t, order)       # (2, 2, n, n)
     phase = np.exp(_phase_rates(kernel.hamiltonian)[:, :, None, None] * t)
-    return DensityBlocks(rho0.blocks * series * phase, rho0.grid)
+    blocks = rho0.blocks * series * phase
+    blocks.setflags(write=False)
+    return DensityBlocks(blocks, rho0.grid)

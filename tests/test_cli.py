@@ -188,12 +188,22 @@ class TestExitCodes:
          "--grid-points", "32"],
         ["ensemble", "--lambda", "1e300", "--tmax", "0.01", "--dt", "0.001",
          "--samples", "2", "--ntraj", "4", "--grid-points", "32"],
+        ["ensemble", "--integrator", "ito-linear", "--tmax", "1", "--dt",
+         "1e-12", "--samples", "1", "--ntraj", "1", "--grid-points", "32"],
+        ["me", "--tmax", "1", "--dt", "1e-300", "--samples", "2"],
+        ["ensemble", "--tmax", "1", "--dt", "1e-300", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],
+        ["me", "--tmax", "1", "--dt", "5e-324", "--samples", "2"],
+        ["ensemble", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],
     ])
     def test_extreme_values_keep_exit_contract(self, args):
-        """0, 1 or 2, never a traceback, and no NaN cell on success."""
+        """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
+        on success."""
         code, out, err = run_cli_process(args)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        assert "Warning" not in err
         if code == 0:
             assert "nan" not in out.lower()
 

@@ -1,12 +1,16 @@
 """Tests for domain types, basis conversions, and grid states."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
-                           GridState, ModelParams, ParameterError,
-                           flavor_to_mass, make_gaussian_state)
+                           GridState, InvariantViolationError, ModelParams,
+                           ParameterError, flavor_to_mass, make_gaussian_state)
+from mesoncollapse import core
 from mesoncollapse.core import IDX_H, IDX_L
 
 INV_SQ2 = 1.0 / np.sqrt(2.0)
@@ -170,3 +174,65 @@ class TestDensityBlocks:
         state = make_gaussian_state(ModelParams(), Grid.centered(64, 16.0))
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
+
+    def test_from_state_and_validate_hold_one_density(self):
+        """Built and checked without a second array of the density's size."""
+        state = make_gaussian_state(ModelParams(), Grid.centered(640, 64.0))
+        tracemalloc.start()
+        try:
+            rho = DensityBlocks.from_state(state).validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * rho.blocks.nbytes
+
+    @given(n=st.integers(2, 40), slab_bytes=st.integers(1, 4096),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_hermiticity_defect_equals_full_difference(self, n, slab_bytes, seed):
+        """Row slabs of any size, including n not a multiple of the slab
+        rows, give the whole-array maximum bit for bit."""
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(2, 2, n, n)) + 1j * rng.normal(size=(2, 2, n, n))
+        rho = DensityBlocks(b, Grid.centered(n, 16.0))
+        full = np.max(np.abs(b - np.conj(np.transpose(b, (1, 0, 3, 2)))))
+        with mock.patch.object(core, "_SLAB_BYTES", slab_bytes):
+            assert rho.hermiticity_defect() == full
+        assert rho.hermiticity_defect() == full
+
+    def test_hermiticity_defect_with_several_default_slabs(self):
+        n = 300                            # 218 rows per slab: a ragged last slab
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(2, 2, n, n)) + 1j * rng.normal(size=(2, 2, n, n))
+        full = np.max(np.abs(b - np.conj(np.transpose(b, (1, 0, 3, 2)))))
+        assert DensityBlocks(b, Grid.centered(n, 16.0)).hermiticity_defect() == full
+
+    @pytest.mark.parametrize("defect", ["hermiticity", "trace", "nan"])
+    def test_validate_rejects_broken_density(self, defect):
+        grid = Grid.centered(64, 16.0)
+        b = np.array(DensityBlocks.from_state(
+            make_gaussian_state(ModelParams(), grid)).blocks)
+        if defect == "hermiticity":
+            b[IDX_H, IDX_L, 3, 5] += 1e-6
+        elif defect == "trace":
+            b *= 1.01
+        else:
+            b[IDX_H, IDX_L, 3, 5] = np.nan
+        with pytest.raises(InvariantViolationError):
+            DensityBlocks(b, grid).validate()
+
+    def test_callers_array_is_copied_not_frozen(self):
+        grid = Grid.centered(8, 16.0)
+        arr = np.zeros((2, 2, 8, 8), dtype=complex)
+        rho = DensityBlocks(arr, grid)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, rho.blocks)
+        assert not rho.blocks.flags.writeable
+        view = arr.view()
+        view.setflags(write=False)          # read-only, but arr can still change it
+        assert not np.shares_memory(arr, DensityBlocks(view, grid).blocks)
+
+    def test_frozen_fresh_array_is_kept(self):
+        grid = Grid.centered(8, 16.0)
+        arr = np.zeros((2, 2, 8, 8), dtype=complex)
+        arr.setflags(write=False)
+        assert DensityBlocks(arr, grid).blocks is arr

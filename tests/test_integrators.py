@@ -12,8 +12,9 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
-from mesoncollapse.integrators import _BLOCK_STEPS
-from mesoncollapse.noise import MollifiedNoise, NoisePath, path_generator
+from mesoncollapse.integrators import _BLOCK_STEPS, _increments, _normal
+from mesoncollapse.noise import (MAX_NOISE_BYTES, MollifiedNoise, NoisePath,
+                                 path_generator)
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -347,6 +348,36 @@ class TestRunEnsemble:
         with pytest.raises(ParameterError):
             run_ensemble(model, IntegratorSpec("ito-linear", 0.01), state0,
                          0.505, 10, seed=1)
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300])
+    def test_step_count_beyond_int64_rejected(self, dt):
+        params, _, model, state0 = qmupl_setup()
+        with pytest.raises(ParameterError):
+            run_ensemble(model, IntegratorSpec("ito-linear", dt), state0,
+                         np.float64(1.0), 1, seed=1, n_samples=2)
+
+    @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
+    def test_linear_segment_over_noise_cap_rejected(self, kind):
+        """One sample-to-sample segment is drawn at once, so its size is
+        bounded before any draw."""
+        params, _, model, state0 = qmupl_setup()
+        dt = 1e-3
+        n_steps = MAX_NOISE_BYTES // 8 + 1
+        with pytest.raises(ParameterError, match="noise bytes"):
+            run_ensemble(model, IntegratorSpec(kind, dt), state0,
+                         n_steps * dt, 1, seed=1, n_samples=1)
+
+    def test_standard_normal_draws_equal_normal(self):
+        """Scaling standard normals in place is bit-identical to
+        rng.normal(0, sd) on the same Philox stream."""
+        dt = 0.003
+        sd = np.sqrt(dt)
+        assert np.array_equal(_normal(path_generator(4, 9), sd, (300, 5)),
+                              path_generator(4, 9).normal(0.0, sd, size=(300, 5)))
+        rngs = [path_generator(4, j) for j in range(3)]
+        expected = np.stack([path_generator(4, j).normal(0.0, sd, size=(70, 5))
+                             for j in range(3)])
+        assert np.array_equal(_increments(rngs, 70, 5, dt), expected)
 
     def test_mean_matches_closed_form(self):
         """lam alpha dm^2/(2 m0^2) = 0.1, t = pi/dm: ensemble mean equals
