@@ -33,7 +33,7 @@ from .core import (DensityBlocks, GridState, NormDivergenceError,
                    ParameterError, flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
-                    path_generator, window_integrals)
+                    _normal, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
@@ -82,9 +82,10 @@ def _collapse_path(model, amp0, n_batch, dws, dt, stops):
     on = prob > 0
     unit = flat[on] / np.sqrt(prob[on])
     h = np.broadcast_to(model.hamiltonian, amp0.shape).reshape(-1)[on]
-    a1 = np.vstack([model.channels.reshape(nc, -1)[:, on],
+    channels = model.channels
+    a1 = np.vstack([channels.reshape(nc, -1)[:, on],
                     np.ones(unit.size)])                 # rows [A_i; 1]
-    basis = np.vstack([a1[:nc], model.channel_square_sum().reshape(-1)[on],
+    basis = np.vstack([a1[:nc], np.sum(channels ** 2, axis=0).reshape(-1)[on],
                        np.log(prob[on])]).T              # (support, nc + 2)
     coef = np.zeros((nc + 2, n_batch))                   # [2 sqrt(lam) Y; t; 1]
     coef[-1] = 1.0
@@ -107,10 +108,9 @@ def _em_linear(amp, model, dW, dt):
     """One Euler-Maruyama step of the linear SDE (batched)."""
     h = model.hamiltonian
     lam = model.effective_coupling
-    s2 = model.channel_square_sum()
-    field = np.einsum("...i,inm->...nm", dW, model.channels, optimize=True)
+    s2 = np.multiply.outer(model.profile_square_sum(), model.mass_ratio ** 2)
     return amp * (1.0 - 1j * h * dt - 0.5 * lam * s2 * dt
-                  + 1j * np.sqrt(lam) * field)
+                  + 1j * np.sqrt(lam) * model.field(dW))
 
 
 def step_ito_nonlinear(state, model, dW, dt):
@@ -149,9 +149,8 @@ def step_stratonovich(state, model, dW, dt):
     predictor-corrector pair collapses to psi (1 + G + G^2/2).
     """
     state.validate(tol=0.05)
-    field = np.einsum("...i,inm->...nm", np.asarray(dW, dtype=float),
-                      model.channels, optimize=True)
-    g = -1j * model.hamiltonian * dt + 1j * np.sqrt(model.effective_coupling) * field
+    g = (-1j * model.hamiltonian * dt
+         + 1j * np.sqrt(model.effective_coupling) * model.field(dW))
     return GridState(state.amplitudes * (1.0 + g + 0.5 * g * g), state.grid)
 
 
@@ -162,13 +161,6 @@ def _rk4_factorized(amp, m0, mh, m1, dt):
     k3 = mh * (amp + 0.5 * dt * k2)
     k4 = m1 * (amp + dt * k3)
     return amp + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _wz_generators(model, wdot):
-    """Diagonal ODE generator -iH + i sqrt(lam) sum_i A_i Wdot_i per eval time."""
-    field = np.einsum("...i,inm->...nm", wdot, model.channels, optimize=True)
-    return (-1j * model.hamiltonian
-            + 1j * np.sqrt(model.effective_coupling) * field)
 
 
 def integrate_wong_zakai(state0, model, noise, t_grid):
@@ -190,8 +182,9 @@ def integrate_wong_zakai(state0, model, noise, t_grid):
             "t_grid spacing %g exceeds eps/4 = %g" % (dt, eps / 4.0))
     n_steps = t_grid.size - 1
     eval_times = t_grid[0] + 0.5 * dt * np.arange(2 * n_steps + 1)
-    wdot = noise.value(eval_times)                       # (n_eval, nc)
-    gens = _wz_generators(model, wdot)                   # (n_eval, n, 2)
+    # diagonal ODE generator -iH + i sqrt(lam) sum_i A_i Wdot_i per eval time
+    gens = (-1j * model.hamiltonian + 1j * np.sqrt(model.effective_coupling)
+            * model.field(noise.value(eval_times)))      # (n_eval, n, 2)
     amp = np.array(state0.amplitudes)
     states = [state0]
     for k in range(n_steps):
@@ -253,13 +246,6 @@ def _new_accumulators(n_times, n_points, store_density):
     return acc
 
 
-def _normal(rng, sd, shape):
-    """rng.normal(0.0, sd, shape) bit for bit, scaled in place after the draw."""
-    z = rng.standard_normal(shape)
-    z *= sd
-    return z
-
-
 def _increments(rngs, n_steps, nc, dt):
     """The next ``n_steps`` increments of each Philox stream, (B, n_steps, nc)."""
     dw = np.empty((len(rngs), n_steps, nc))
@@ -312,11 +298,9 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         w = np.cumsum([[_normal(rng, sd, (b - a, nc)).sum(axis=0)
                         for rng in rngs] for a, b in zip([0] + order, order)],
                       axis=0)                            # (n_stops, B, nc)
-    channels = model.channels.reshape(nc, -1)
     root_lam = np.sqrt(model.effective_coupling)
     for stop, w_t in zip(order, w):
-        field = (w_t @ channels).reshape((-1,) + amp0.shape)
-        phase = root_lam * field - model.hamiltonian * (stop * dt)
+        phase = root_lam * model.field(w_t) - model.hamiltonian * (stop * dt)
         yield stop, amp0 * np.exp(1j * phase)
 
 
@@ -370,12 +354,10 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
         raise UnderResolvedKernelError(
             "dt %g exceeds eps/4 = %g" % (spec.dt, spec.mollifier.eps / 4.0))
     initial.validate(tol=0.05)
-    with np.errstate(over="ignore"):
-        ratio = t_max / spec.dt
-    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
-    if n_steps < 1 or abs(n_steps * spec.dt - t_max) > 1e-9 * t_max:
-        raise ParameterError("t_max=%g is not an integer number of steps dt=%g"
-                             % (t_max, spec.dt))
+    message = "t_max=%g is not an integer number of steps dt=%g" % (t_max, spec.dt)
+    n_steps = int(integer_steps(t_max, spec.dt, t_max, message))
+    if n_steps < 1:
+        raise ParameterError(message)
     if sample_times is None:
         sample_times = t_max * np.arange(1, n_samples + 1) / n_samples
     sample_times = np.asarray(sample_times, dtype=float)

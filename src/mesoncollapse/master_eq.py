@@ -88,23 +88,27 @@ class SuperoperatorKernel:
 def decoherence_rates(model):
     """Damping rate of each density entry, shape (2, 2, n, n).
 
-    rate[mu, nu, x, y] = (coupling/2) * sum_i (w_i(x,mu) - w_i(y,nu))^2
-    with the channel quadrature measure folded into the coupling.
+    rate[mu, nu, x, y] = (coupling/2) sum_i (A_i(x,mu) - A_i(y,nu))^2
+        = (coupling/2) [r_mu^2 s(x) + r_nu^2 s(y) - 2 r_mu r_nu (G^T G)(x, y)]
+    with A_i = G_i r_mu, s = sum_i G_i^2 the diagonal of G^T G, and the
+    channel quadrature measure folded into the coupling.
     """
-    w = model.channels
-    s2 = model.channel_square_sum()                       # (n, 2)
-    cross = np.einsum("ixm,iyn->mnxy", w, w, optimize=True)
-    rate = (s2.T[:, None, :, None] + s2.T[None, :, None, :] - 2.0 * cross)
+    r = model.mass_ratio
+    gram = model.profile.T @ model.profile                # (n, n)
+    rs = np.multiply.outer(r ** 2, np.diagonal(gram))     # r_mu^2 s(x), (2, n)
+    rate = (rs[:, None, :, None] + rs[None, :, None, :]
+            - 2.0 * np.multiply.outer(np.outer(r, r), gram))
     return 0.5 * model.effective_coupling * rate
 
 
 def _hl_diagonal_rate(model):
-    """rate[H, L, x, x] = (coupling/2) sum_i (w_i(x,H) - w_i(x,L))^2, shape (n,).
+    """rate[H, L, x, x] = (coupling/2) (r_H - r_L)^2 sum_i G_i(x)^2, shape (n,).
 
     The x = y diagonal of the HL block of ``decoherence_rates`` in O(nc n).
     """
-    d = model.channels[:, :, IDX_H] - model.channels[:, :, IDX_L]
-    return 0.5 * model.effective_coupling * np.einsum("ix,ix->x", d, d)
+    r = model.mass_ratio
+    return (0.5 * model.effective_coupling * (r[IDX_H] - r[IDX_L]) ** 2
+            * model.profile_square_sum())
 
 
 def _phase_rates(hamiltonian):
@@ -129,9 +133,8 @@ def evolve_me_numeric(rho0, model, t, dt, validate=True):
         raise ParameterError("need t >= 0 and dt > 0 (t=%g, dt=%g)" % (t, dt))
     if validate:
         rho0.validate(tol=1e-8)
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9 * max(t, dt):
-        raise ParameterError("t=%g is not an integer number of steps dt=%g" % (t, dt))
+    message = "t=%g is not an integer number of steps dt=%g" % (t, dt)
+    n_steps = int(integer_steps(t, dt, max(t, dt), message))
     step = np.exp(_generator(model.hamiltonian, decoherence_rates(model)) * dt)
     blocks = np.array(rho0.blocks)
     for _ in range(n_steps):

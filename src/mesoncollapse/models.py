@@ -1,16 +1,19 @@
 """Hamiltonian and collapse-operator construction on the grid.
 
-Both models share the structure: a mass-diagonal Hamiltonian and Hermitian
-channel operators that are diagonal in the position (x) mass basis, so the
-Hamiltonian commutes with every channel and evolution never mixes mass
-eigenstates.
+Both models couple the noise to the mass density: channel i acts on the
+position (x) mass (mu) basis as A_i(x, mu) = G_i(x) m_mu / m0, with the
+spatial profile G_i(x) = x for QMUPL (one channel) and g(x_i - x) for CSL
+(one channel per grid point of the noise field).  A model stores the
+profile G and the two mass ratios, and every noise field and decoherence
+rate is built from them.  The Hamiltonian is mass-diagonal, so it commutes
+with every channel and evolution never mixes mass eigenstates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDX_H, IDX_L, GridResolutionError
+from .core import GridResolutionError, _frozen_array
 
 QMUPL = "QMUPL"
 CSL = "CSL"
@@ -21,7 +24,9 @@ class CollapseModel:
     """Diagonal operator data for one collapse model on a grid.
 
     hamiltonian : (2,) phase rates (mH, mL), grid-point independent.
-    channels    : (n_channels, n_points, 2) real diagonal weights.
+    profile     : (n_channels, n_points) spatial profile G_i(x).
+    mass_ratio  : (2,) (mH / m0, mL / m0); channel i is
+        A_i(x, mu) = profile[i, x] * mass_ratio[mu].
     coupling    : lambda (QMUPL) or gamma (CSL).
     channel_measure : quadrature weight of the channel index; the effective
         per-channel coupling is coupling * channel_measure.  It is 1 for the
@@ -31,35 +36,38 @@ class CollapseModel:
 
     label: str
     hamiltonian: np.ndarray
-    channels: np.ndarray
+    profile: np.ndarray
+    mass_ratio: np.ndarray
     coupling: float
     channel_measure: float
     grid: object
 
     def __post_init__(self):
-        h = np.array(self.hamiltonian, dtype=float)
-        ch = np.array(self.channels, dtype=float)
-        h.setflags(write=False)
-        ch.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "channels", ch)
+        for name in ("hamiltonian", "profile", "mass_ratio"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
 
     @property
     def n_channels(self):
-        return self.channels.shape[0]
+        return self.profile.shape[0]
 
     @property
     def effective_coupling(self):
         return self.coupling * self.channel_measure
 
-    def channel_square_sum(self):
-        """sum_i A_i^2 diagonal, shape (n_points, 2), computed once per model."""
-        s2 = self.__dict__.get("_square_sum")
-        if s2 is None:
-            s2 = np.sum(self.channels ** 2, axis=0)
-            s2.setflags(write=False)
-            object.__setattr__(self, "_square_sum", s2)
-        return s2
+    @property
+    def channels(self):
+        """A_i(x, mu), shape (n_channels, n_points, 2), rebuilt on each read."""
+        a = self.profile[:, :, None] * self.mass_ratio
+        a.setflags(write=False)
+        return a
+
+    def field(self, w):
+        """sum_i w_i A_i, shape (..., n_points, 2), for w of shape (..., nc)."""
+        return (np.asarray(w, dtype=float) @ self.profile)[..., None] * self.mass_ratio
+
+    def profile_square_sum(self):
+        """s(x) = sum_i G_i(x)^2, shape (n_points,); sum_i A_i^2 = s r_mu^2."""
+        return np.einsum("ix,ix->x", self.profile, self.profile)
 
 
 def build_hamiltonian(params):
@@ -68,14 +76,11 @@ def build_hamiltonian(params):
 
 
 def build_qmupl(params, grid):
-    """Position-localization model: one channel, weight x * m_mu / m0."""
-    x = grid.points
-    w = np.empty((1, grid.n_points, 2))
-    w[0, :, IDX_H] = x * params.mH / params.m0
-    w[0, :, IDX_L] = x * params.mL / params.m0
-    return CollapseModel(label=QMUPL, hamiltonian=build_hamiltonian(params),
-                         channels=w, coupling=params.lam, channel_measure=1.0,
-                         grid=grid)
+    """Position-localization model: one channel, profile G(x) = x."""
+    h = build_hamiltonian(params)
+    return CollapseModel(label=QMUPL, hamiltonian=h, profile=grid.points[None, :],
+                         mass_ratio=h / params.m0, coupling=params.lam,
+                         channel_measure=1.0, grid=grid)
 
 
 def smearing_kernel(params, r):
@@ -95,9 +100,9 @@ def smearing_self_convolution(params, r, dim=1):
 def build_csl(params, grid):
     """Smeared-density model: one channel per grid point of the noise field.
 
-    Channel x_i has weight g(x_i - y) * m_mu / m0 at (y, mu); the channel
-    measure is the grid spacing, so that discrete channel sums reproduce
-    the continuum convolution sum_i g(x_i-y) g(x_i-y') dx -> (g*g)(y-y').
+    Channel x_i has profile g(x_i - y) at y; the channel measure is the grid
+    spacing, so that discrete channel sums reproduce the continuum
+    convolution sum_i g(x_i-y) g(x_i-y') dx -> (g*g)(y-y').
     """
     if grid.spacing > params.rC / 4.0:
         raise GridResolutionError(
@@ -105,9 +110,8 @@ def build_csl(params, grid):
             % (grid.spacing, params.rC / 4.0))
     x = grid.points
     g = smearing_kernel(params, x[:, None] - x[None, :])  # (channel, point)
-    w = np.empty((grid.n_points, grid.n_points, 2))
-    w[:, :, IDX_H] = g * params.mH / params.m0
-    w[:, :, IDX_L] = g * params.mL / params.m0
-    return CollapseModel(label=CSL, hamiltonian=build_hamiltonian(params),
-                         channels=w, coupling=params.gamma,
+    g.setflags(write=False)
+    h = build_hamiltonian(params)
+    return CollapseModel(label=CSL, hamiltonian=h, profile=g,
+                         mass_ratio=h / params.m0, coupling=params.gamma,
                          channel_measure=grid.spacing, grid=grid)

@@ -79,6 +79,13 @@ def path_generator(seed, stream=None):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _normal(rng, sd, shape):
+    """rng.normal(0.0, sd, shape) bit for bit, scaled in place after the draw."""
+    z = rng.standard_normal(shape)
+    z *= sd
+    return z
+
+
 def sample_wiener(seed, dt, n_steps, n_channels=1):
     """Sample a NoisePath of independent Gaussian increments, variance dt."""
     if dt <= 0:
@@ -87,8 +94,7 @@ def sample_wiener(seed, dt, n_steps, n_channels=1):
         raise ParameterError("n_steps must be >= 1, got %d" % n_steps)
     if n_channels < 1:
         raise ParameterError("n_channels must be >= 1, got %d" % n_channels)
-    rng = path_generator(seed)
-    inc = rng.normal(0.0, np.sqrt(dt), size=(n_steps, n_channels))
+    inc = _normal(path_generator(seed), np.sqrt(dt), (n_steps, n_channels))
     return NoisePath(seed=int(seed), dt=float(dt), increments=inc)
 
 
@@ -289,7 +295,7 @@ def i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=2000):
     done = 0
     while done < n_paths:
         b = min(chunk, n_paths - done)
-        dw = rng.normal(0.0, np.sqrt(h), size=(b, t_mid.size))
+        dw = _normal(rng, np.sqrt(h), (b, t_mid.size))
         wdot_t, integral = (dw @ kernels).T
         vals[done:done + b] = wdot_t * integral
         done += b

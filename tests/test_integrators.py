@@ -12,9 +12,9 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
-from mesoncollapse.integrators import _BLOCK_STEPS, _increments, _normal
+from mesoncollapse.integrators import _BLOCK_STEPS, _increments
 from mesoncollapse.noise import (MAX_NOISE_BYTES, MollifiedNoise, NoisePath,
-                                 path_generator)
+                                 _normal, path_generator)
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -349,12 +349,15 @@ class TestRunEnsemble:
             run_ensemble(model, IntegratorSpec("ito-linear", 0.01), state0,
                          0.505, 10, seed=1)
 
-    @pytest.mark.parametrize("dt", [5e-324, 1e-300])
-    def test_step_count_beyond_int64_rejected(self, dt):
+    @pytest.mark.parametrize("dt,t_max", [(5e-324, 1.0), (1e-300, 1.0),
+                                          (1e-3, 1e300)],
+                             ids=["5e-324", "1e-300", "tmax-1e300"])
+    def test_step_count_beyond_int64_rejected(self, dt, t_max):
         params, _, model, state0 = qmupl_setup()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match="is not an integer number of steps"):
             run_ensemble(model, IntegratorSpec("ito-linear", dt), state0,
-                         np.float64(1.0), 1, seed=1, n_samples=2)
+                         np.float64(t_max), 1, seed=1, n_samples=2)
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_segment_over_noise_cap_rejected(self, kind):

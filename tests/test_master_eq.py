@@ -65,6 +65,16 @@ class TestNumericVsExact:
         with pytest.raises(ParameterError):
             evolve_me_numeric(rho0, model, t=1.0, dt=0.3)
 
+    @pytest.mark.parametrize("t,dt", [(1.0, 1e-320), (np.inf, 0.1),
+                                      (np.nan, 0.1), (1.0, np.nan)])
+    def test_step_count_not_an_int64_rejected(self, t, dt):
+        """Overflowing or NaN step counts are parameter errors, not
+        OverflowError or ValueError from the integer cast."""
+        _, _, model, rho0 = qmupl_setup()
+        with pytest.raises(ParameterError,
+                           match="is not an integer number of steps"):
+            evolve_me_numeric(rho0, model, t=t, dt=dt)
+
     def test_qmupl_exact_rates(self):
         """mu=nu at x=y undamped; mu=nu at x != y damped spatially."""
         params, grid, _, rho0 = qmupl_setup(lam=0.5)

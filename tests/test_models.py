@@ -1,7 +1,10 @@
 """Tests for Hamiltonian / collapse-channel construction."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            ModelParams, build_csl, build_hamiltonian,
@@ -9,6 +12,7 @@ from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            make_gaussian_state, smearing_kernel,
                            smearing_self_convolution)
 from mesoncollapse.core import IDX_H, IDX_L
+from mesoncollapse.master_eq import _hl_diagonal_rate, decoherence_rates
 
 
 class TestHamiltonian:
@@ -126,7 +130,6 @@ class TestCsl:
     def test_far_separated_damping_rate(self):
         """At |x-y| >> rC the mu=nu off-diagonal rate approaches
         gamma m_mu^2 g*g(0) / m0^2 (cross term vanishes)."""
-        from mesoncollapse import decoherence_rates
         model = build_csl(self.params, self.grid)
         rates = decoherence_rates(model)
         gg0 = smearing_self_convolution(self.params, 0.0)
@@ -137,7 +140,6 @@ class TestCsl:
 
     def test_hl_rate_at_coincident_points(self):
         """x=y, mu != nu: rate = gamma (mH-mL)^2 g*g(0) / (2 m0^2)."""
-        from mesoncollapse import decoherence_rates
         model = build_csl(self.params, self.grid)
         rates = decoherence_rates(model)
         gg0 = smearing_self_convolution(self.params, 0.0)
@@ -147,8 +149,78 @@ class TestCsl:
         assert rates[IDX_H, IDX_L, k, k] == pytest.approx(expected, rel=1e-3)
 
     def test_population_entries_undamped(self):
-        from mesoncollapse import decoherence_rates
         model = build_csl(self.params, self.grid)
         rates = decoherence_rates(model)
         diag = np.einsum("mmxx->mx", rates)
         assert np.max(np.abs(diag)) < 1e-12
+
+
+def _channel_rates(model):
+    """The channel form of ``decoherence_rates``, kept as a reference:
+    (coupling/2) sum_i (A_i(x,mu) - A_i(y,nu))^2 from the full channels."""
+    w = model.channels
+    s2 = np.sum(w ** 2, axis=0)
+    cross = np.einsum("ixm,iyn->mnxy", w, w)
+    return 0.5 * model.effective_coupling * (
+        s2.T[:, None, :, None] + s2.T[None, :, None, :] - 2.0 * cross)
+
+
+class TestProfileFormat:
+    """A model stores the profile G and the mass ratios; A_i = G_i r_mu."""
+
+    def models(self):
+        params = ModelParams(lam=0.3, gamma=0.4, rC=0.5, mH=1.7, mL=0.4, m0=1.3)
+        return (build_qmupl(params, Grid.centered(48, 16.0)),
+                build_csl(params, Grid.centered(160, 16.0)))
+
+    def test_channels_are_profile_times_mass_ratio(self):
+        for model in self.models():
+            assert model.channels.shape == (model.n_channels,
+                                            model.grid.n_points, 2)
+            assert np.array_equal(model.channels[:, :, IDX_L],
+                                  model.profile * (0.4 / 1.3))
+            assert not model.channels.flags.writeable
+            assert not model.profile.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_field_matches_channel_einsum(self, shape):
+        rng = np.random.default_rng(5)
+        for model in self.models():
+            w = rng.standard_normal(shape + (model.n_channels,))
+            expected = np.einsum("...i,inm->...nm", w, model.channels)
+            field = model.field(w)
+            assert field.shape == shape + (model.grid.n_points, 2)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(field - expected)) <= 1e-14 * scale
+
+    def test_csl_stores_no_channel_array(self):
+        """Only G (nc, n) is stored, never the (nc, n, 2) product, and the
+        pickle a process pool ships carries little more than G."""
+        model = self.models()[1]
+        n = model.grid.n_points
+        assert model.channels.shape == (n, n, 2)      # derived, not cached
+        shapes = [v.shape for v in vars(model).values()
+                  if isinstance(v, np.ndarray)]
+        assert (n, n, 2) not in shapes
+        assert model.profile.shape == (n, n)
+        assert model.mass_ratio.shape == (2,)
+        assert len(pickle.dumps(model)) < 1.1 * model.profile.nbytes + 4096
+
+    @given(n=st.integers(min_value=8, max_value=48),
+           r_c=st.floats(min_value=0.25, max_value=4.0),
+           m_l=st.floats(min_value=0.05, max_value=2.0),
+           dm=st.floats(min_value=1e-3, max_value=2.0),
+           m0=st.floats(min_value=0.2, max_value=3.0),
+           csl=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rates_match_channel_reference(self, n, r_c, m_l, dm, m0, csl):
+        params = ModelParams(m0=m0, mH=m_l + dm, mL=m_l, lam=0.7, gamma=0.7,
+                             rC=r_c)
+        grid = Grid.centered(n, n * r_c / 5.0)
+        model = (build_csl if csl else build_qmupl)(params, grid)
+        rates = decoherence_rates(model)
+        reference = _channel_rates(model)
+        tol = 1e-13 * np.max(np.abs(reference))
+        assert np.max(np.abs(rates - reference)) <= tol
+        assert np.max(np.abs(_hl_diagonal_rate(model)
+                             - np.diagonal(rates[IDX_H, IDX_L]))) <= tol
