@@ -1,11 +1,17 @@
 """Experiment runner: exact / ME / ensemble / Dyson / theta-check / compare.
 
 Configuration is a flat ``key = value`` text file plus command-line flags
-(flags win).  Every output file embeds the fully resolved configuration in
-a comment header, so identical config + seed gives byte-identical output.
+(flags win).  Every key is declared once, in ``_SCHEMA``, with its type,
+default, allowed values or sign rule and help text; the ``--key`` flags are
+generated from it, and a value is checked the same way whether it came from
+a file or a flag.  ``seed`` must be >= 0.  Every output file embeds the fully
+resolved configuration in a comment header, so identical config + seed
+gives byte-identical output.
 
 Exit statuses: 0 success (and all verdicts pass), 1 numerical failure,
-2 usage / configuration error.
+2 usage / configuration error.  A request too large for memory and an
+``--out`` that cannot be written are configuration errors, and no output
+file is left behind.
 """
 
 import argparse
@@ -19,7 +25,8 @@ from . import __version__
 from .core import (DensityBlocks, Grid, GridResolutionError,
                    InvariantViolationError, ModelParams, NormDivergenceError,
                    ParameterError, make_gaussian_state)
-from .integrators import IntegratorSpec, resolve_workers, run_ensemble
+from .integrators import (INTEGRATOR_KINDS, IntegratorSpec, resolve_workers,
+                          run_ensemble)
 from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
                         flavor_record, me_flavor_probabilities)
 from .models import CSL, QMUPL, build_csl, build_qmupl
@@ -29,33 +36,39 @@ from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
 _NUMERICAL_ERRORS = (NormDivergenceError, InvariantViolationError,
                      UnderResolvedKernelError, GridResolutionError)
 
-# every recognized config key with (type, default)
-_SCHEMA = {
-    "model": (str, "qmupl"),
-    "dm": (float, 1.0),
-    "m0": (float, 1.0),
-    "lambda": (float, 0.0),
-    "gamma": (float, 0.0),
-    "rc": (float, 1.0),
-    "alpha": (float, 1.0),
-    "dim": (int, 1),
-    "tmax": (float, 6.4),
-    "samples": (int, 10),
-    "ntraj": (int, 1000),
-    "seed": (int, 1),
-    "dt": (float, 1e-3),
-    "integrator": (str, "ito-nonlinear"),
-    "mollifier": (str, "gaussian"),
-    "eps": (float, None),
-    "order": (int, 2),
-    "grid_points": (int, 128),
-    "grid_extent": (float, None),
-    "out": (str, None),
-    "format": (str, "csv"),
-}
+# model key -> (closed-form label, grid model builder)
+_MODELS = {"qmupl": (QMUPL, build_qmupl), "csl": (CSL, build_csl)}
 
-# float keys that must be strictly positive; every float key must be finite
-_POSITIVE = ("dm", "m0", "rc", "alpha", "tmax", "dt", "eps", "grid_extent")
+# the sign rule a key's value must obey; every float must also be finite
+_SIGN_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+
+# every config key: (type, default, allowed values or sign rule, help)
+_SCHEMA = {
+    "model": (str, "qmupl", tuple(_MODELS), "collapse model"),
+    "dm": (float, 1.0, "positive", "mass splitting mH - mL"),
+    "m0": (float, 1.0, "positive", "reference mass"),
+    "lambda": (float, 0.0, None, "QMUPL coupling"),
+    "gamma": (float, 0.0, None, "CSL coupling"),
+    "rc": (float, 1.0, "positive", "CSL smearing length"),
+    "alpha": (float, 1.0, "positive",
+              "initial Gaussian position variance parameter"),
+    "dim": (int, 1, (1, 3), "spatial dimension"),
+    "tmax": (float, 6.4, "positive", "last sample time"),
+    "samples": (int, 10, "positive", "number of sample times"),
+    "ntraj": (int, 1000, None, "trajectories (or Monte Carlo paths)"),
+    "seed": (int, 1, "non-negative", "non-negative random seed"),
+    "dt": (float, 1e-3, "positive", "time step"),
+    "integrator": (str, "ito-nonlinear", INTEGRATOR_KINDS, "trajectory scheme"),
+    "mollifier": (str, "gaussian", MOLLIFIER_KINDS, "mollifier kernel"),
+    "eps": (float, None, "positive", "mollifier width (default: tmax/40;"
+             " theta-check sweeps tmax/10, tmax/30, tmax/100)"),
+    "order": (int, 2, (0, 1, 2), "Dyson truncation order"),
+    "grid_points": (int, 128, None, "number of grid points"),
+    "grid_extent": (float, None, "positive",
+                    "grid length (default: 8 sqrt(alpha))"),
+    "out": (str, None, None, "output path (default: stdout)"),
+    "format": (str, "csv", ("csv", "json"), "output format"),
+}
 
 
 def _parse_config_file(path):
@@ -72,45 +85,34 @@ def _parse_config_file(path):
             if key not in _SCHEMA:
                 raise ParameterError("%s:%d: unknown config key %r"
                                      % (path, lineno, key))
-            values[key] = value
+            kind = _SCHEMA[key][0]
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise ParameterError("config key %r: cannot parse %r as %s"
+                                     % (key, value, kind.__name__)) from None
     return values
-
-
-def _coerce(key, value):
-    kind = _SCHEMA[key][0]
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ParameterError("config key %r: cannot parse %r as %s"
-                             % (key, value, kind.__name__)) from None
 
 
 def resolve_config(args):
     """Merge defaults, config file, and command-line flags (flags win)."""
-    config = {key: default for key, (_, default) in _SCHEMA.items()}
+    config = {key: default for key, (_, default, _, _) in _SCHEMA.items()}
     if args.config:
-        for key, value in _parse_config_file(args.config).items():
-            config[key] = _coerce(key, value)
+        config.update(_parse_config_file(args.config))
     for key in _SCHEMA:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            config[key] = flag
-    if config["model"] not in ("qmupl", "csl"):
-        raise ParameterError("model must be 'qmupl' or 'csl', got %r"
-                             % config["model"])
-    if config["format"] not in ("csv", "json"):
-        raise ParameterError("format must be 'csv' or 'json', got %r"
-                             % config["format"])
-    if config["samples"] < 1:
-        raise ParameterError("samples must be >= 1, got %d" % config["samples"])
-    for key, (kind, _) in _SCHEMA.items():
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    for key, (kind, _, allowed, _) in _SCHEMA.items():
         value = config[key]
-        if kind is not float or value is None:
+        if value is None:
             continue
-        if not np.isfinite(value):
+        if isinstance(allowed, tuple) and value not in allowed:
+            raise ParameterError("%s must be one of %s, got %r"
+                                 % (key, list(allowed), value))
+        if kind is float and not np.isfinite(value):
             raise ParameterError("%s must be finite, got %r" % (key, value))
-        if key in _POSITIVE and value <= 0:
-            raise ParameterError("%s must be positive, got %r" % (key, value))
+        if allowed in _SIGN_RULES and not _SIGN_RULES[allowed](value):
+            raise ParameterError("%s must be %s, got %r" % (key, allowed, value))
     return config
 
 
@@ -130,21 +132,20 @@ def _build_grid(config):
 
 
 def _build_model(config, params, grid):
-    if config["model"] == "qmupl":
-        return build_qmupl(params, grid)
-    return build_csl(params, grid)
-
-
-def _model_label(config):
-    return QMUPL if config["model"] == "qmupl" else CSL
+    return _MODELS[config["model"]][1](params, grid)
 
 
 def _sample_times(config, snap_dt=None):
     """Evenly spaced sample times in (0, tmax], snapped to multiples of dt."""
-    times = config["tmax"] * np.arange(1, config["samples"] + 1) / config["samples"]
-    if snap_dt is not None:
-        with np.errstate(over="ignore"):     # an infinite step count is rejected later
+    with np.errstate(over="ignore"):     # an overflow is rejected below
+        times = config["tmax"] * np.arange(1, config["samples"] + 1) / config["samples"]
+        if snap_dt is not None:
             times = np.round(times / snap_dt) * snap_dt
+    if not np.all(np.isfinite(times)):
+        raise ParameterError("tmax=%g in %d samples (dt=%s) gives a non-finite"
+                             " sample time" % (config["tmax"], config["samples"],
+                                               snap_dt))
+    if snap_dt is not None:
         times = np.unique(times[times > 0])
         if times.size == 0:
             raise ParameterError("tmax=%g is below one step dt=%g"
@@ -202,13 +203,10 @@ def _emit_record(config, record, extra_header=()):
     _emit_table(config, RECORD_COLUMNS, _record_rows(record), extra_header)
 
 
-def _require_eps(config, default):
-    return config["eps"] if config["eps"] is not None else default
-
-
 def run_exact(config):
     params = _build_params(config)
-    record = flavor_record(params, _sample_times(config), _model_label(config))
+    record = flavor_record(params, _sample_times(config),
+                           _MODELS[config["model"]][0])
     _emit_record(config, record)
     return 0
 
@@ -225,30 +223,33 @@ def run_me(config):
     return 0
 
 
-def _ensemble_spec(config):
-    kind = config["integrator"]
-    mollifier = None
-    if kind == "wong-zakai":
-        eps = _require_eps(config, config["tmax"] / 40.0)
-        mollifier = Mollifier(config["mollifier"], eps)
-    return IntegratorSpec(kind=kind, dt=config["dt"], mollifier=mollifier)
+def _ensemble(config):
+    """Set up and run the trajectory ensemble of `ensemble` and `compare`.
 
-
-def run_ensemble_cmd(config):
+    Returns (params, model, initial state, sample times, ensemble record).
+    """
     params = _build_params(config)
     if params.dim != 1:
         raise ParameterError("trajectory ensembles support dim=1 only")
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
-    initial = make_gaussian_state(params, grid, "M0")
-    spec = _ensemble_spec(config)
+    mollifier = None
+    if config["integrator"] == "wong-zakai":
+        mollifier = Mollifier(config["mollifier"],
+                              config["eps"] or config["tmax"] / 40.0)
+    spec = IntegratorSpec(kind=config["integrator"], dt=config["dt"],
+                          mollifier=mollifier)
     workers = resolve_workers(default=os.cpu_count() or 1)
     times = _sample_times(config, snap_dt=spec.dt)
-    t_max = float(times[-1])
-    result = run_ensemble(model, spec, initial, t_max, config["ntraj"],
-                          config["seed"], sample_times=times,
+    initial = make_gaussian_state(params, grid, "M0")
+    result = run_ensemble(model, spec, initial, float(times[-1]),
+                          config["ntraj"], config["seed"], sample_times=times,
                           n_workers=workers)
-    _emit_record(config, result.to_transition_record(spec.kind))
+    return params, model, initial, times, result.to_transition_record(spec.kind)
+
+
+def run_ensemble_cmd(config):
+    _emit_record(config, _ensemble(config)[-1])
     return 0
 
 
@@ -269,8 +270,6 @@ def run_theta_check(config):
         eps_values = [config["eps"]]
     else:
         eps_values = [t / 10.0, t / 30.0, t / 100.0]
-    if config["mollifier"] not in MOLLIFIER_KINDS:
-        raise ParameterError("unknown mollifier %r" % config["mollifier"])
     rows = []
     for eps in eps_values:
         m = Mollifier(config["mollifier"], eps)
@@ -285,22 +284,11 @@ def run_theta_check(config):
 
 def run_compare(config):
     """Oracle triangle: exact vs grid ME vs trajectory ensemble at 3 sigma."""
-    params = _build_params(config)
-    if params.dim != 1:
-        raise ParameterError("compare mode supports dim=1 only")
-    grid = _build_grid(config)
-    model = _build_model(config, params, grid)
-    spec = _ensemble_spec(config)
-    workers = resolve_workers(default=os.cpu_count() or 1)
-    times = _sample_times(config, snap_dt=spec.dt)
-    exact = flavor_record(params, times, _model_label(config))
-    initial = make_gaussian_state(params, grid, "M0")
+    params, model, initial, times, ens = _ensemble(config)
+    # the closed form after run_ensemble has checked the sample times
+    exact = flavor_record(params, times, _MODELS[config["model"]][0])
     me = me_flavor_probabilities(model, DensityBlocks.from_state(initial),
-                                 times, spec.dt, dim=params.dim)
-    result = run_ensemble(model, spec, initial, float(times[-1]),
-                          config["ntraj"], config["seed"], sample_times=times,
-                          n_workers=workers)
-    ens = result.to_transition_record(spec.kind)
+                                 times, config["dt"])
 
     rows = []
     all_pass = True
@@ -339,48 +327,23 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name, help="run the %s experiment" % name)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", choices=("qmupl", "csl"))
-        p.add_argument("--dm", type=float, help="mass splitting mH - mL")
-        p.add_argument("--m0", type=float, help="reference mass")
-        p.add_argument("--lambda", dest="lambda", type=float,
-                       help="QMUPL coupling")
-        p.add_argument("--gamma", type=float, help="CSL coupling")
-        p.add_argument("--rc", type=float, help="CSL smearing length")
-        p.add_argument("--alpha", type=float,
-                       help="initial Gaussian position variance parameter")
-        p.add_argument("--dim", type=int, choices=(1, 3))
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--samples", type=int, help="number of sample times")
-        p.add_argument("--ntraj", type=int,
-                       help="trajectories (or Monte Carlo paths)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--integrator",
-                       choices=("ito-nonlinear", "ito-linear",
-                                "stratonovich", "wong-zakai"))
-        p.add_argument("--mollifier", choices=MOLLIFIER_KINDS)
-        p.add_argument("--eps", type=float, help="mollifier width")
-        p.add_argument("--order", type=int, choices=(0, 1, 2),
-                       help="Dyson truncation order")
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--grid-extent", dest="grid_extent", type=float)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
+        for key, (kind, default, allowed, text) in _SCHEMA.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           choices=allowed if isinstance(allowed, tuple) else None,
+                           help=text if default is None
+                           else "%s (default: %s)" % (text, default))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
+        return _COMMANDS[args.command](resolve_config(args))
     except (ParameterError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](config)
-    except ParameterError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+    except MemoryError as exc:
+        print("config error: out of memory: %s" % exc, file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print("numerical error: %s" % exc, file=sys.stderr)

@@ -1,5 +1,6 @@
 """Tests for the command-line experiment runner."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mesoncollapse.cli import main
+from mesoncollapse.cli import _SCHEMA, build_parser, main
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
 
@@ -21,12 +22,16 @@ def run_cli(args):
     return main(args)
 
 
-def run_cli_process(args):
-    """The CLI in a fresh interpreter: (exit status, stdout, stderr)."""
+def run_cli_process(args, script=None):
+    """The CLI in a fresh interpreter: (exit status, stdout, stderr).
+
+    ``script`` replaces ``-m mesoncollapse.cli`` with ``-c script``; it
+    receives ``args`` as ``sys.argv[1:]``."""
     env = dict(os.environ, MESONCOLLAPSE_WORKERS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "mesoncollapse.cli"] + args,
+    entry = ["-c", script] if script else ["-m", "mesoncollapse.cli"]
+    proc = subprocess.run([sys.executable] + entry + args,
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
@@ -102,6 +107,19 @@ class TestConfigFile:
         cfg.write_text("lambduh = 0.2\n")
         assert run_cli(["exact", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["exact", "me", "ensemble", "dyson",
+                                         "theta-check", "compare"])
+    def test_value_outside_its_set_is_config_error(self, command, tmp_path,
+                                                   capsys):
+        """A file value gets the checks of the same value given as a flag."""
+        for line in ("integrator = foo", "mollifier = foo", "model = foo",
+                     "format = xml", "dim = 2", "order = 3", "seed = -1",
+                     "samples = 0", "dt = nan"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            assert run_cli([command, "--config", str(cfg)]) == 2, line
+            assert "config error" in capsys.readouterr().err, line
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("# an experiment\n\nlambda = 0.1  # coupling\n")
@@ -125,6 +143,12 @@ class TestExitCodes:
         ["ensemble", "--dt", "-0.01"],
         ["theta-check", "--eps", "nan"],
         ["exact", "--grid-extent", "0"],
+        ["ensemble", "--seed", "-1", "--ntraj", "2", "--grid-points", "32"],
+        ["compare", "--seed", "-1", "--ntraj", "2", "--grid-points", "32"],
+        ["theta-check", "--seed", "-1", "--ntraj", "100"],
+        ["exact", "--tmax", "1e308", "--samples", "2"],
+        ["compare", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],
     ])
     def test_non_finite_or_non_positive_is_config_error(self, args, tmp_path,
                                                         capsys):
@@ -134,6 +158,52 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()  # no NaN rows written
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(["exact", "--samples", "2", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS and /proc/self/statm are Linux's")
+    @pytest.mark.parametrize("args", [
+        ["exact", "--samples", "1000000000"],
+        ["me", "--grid-points", "20000", "--tmax", "0.01", "--samples", "1",
+         "--dt", "0.01"],
+    ])
+    def test_out_of_memory_is_config_error(self, args, tmp_path):
+        """The child caps its own address space 1 GiB above its size after
+        import, so the multi-GB request fails without being allocated."""
+        script = (
+            "import os, resource, sys\n"
+            "from mesoncollapse.cli import main\n"
+            "size = int(open('/proc/self/statm').read().split()[0])\n"
+            "limit = size * os.sysconf('SC_PAGE_SIZE') + (1 << 30)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli_process(args + ["--out", str(out)], script)
+        assert code == 2
+        assert "config error: out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--dim", "3"],
+        ["--integrator", "wong-zakai", "--eps", "1e-320"],
+        ["--seed", "-1"],
+        ["--tmax", "1", "--dt", "5e-324"],
+        ["--ntraj", "0"],
+    ])
+    def test_ensemble_and_compare_reject_alike(self, args, capsys):
+        common = ["--ntraj", "2", "--samples", "1", "--tmax", "0.01",
+                  "--dt", "0.01", "--grid-points", "32"]
+        codes = [run_cli([command] + common + args)
+                 for command in ("ensemble", "compare")]
+        assert codes == [2, 2]
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2
 
     def test_bad_worker_env_is_config_error(self, monkeypatch, tmp_path,
                                             capsys):
@@ -196,6 +266,9 @@ class TestExitCodes:
         ["me", "--tmax", "1", "--dt", "5e-324", "--samples", "2"],
         ["ensemble", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
          "--ntraj", "4", "--grid-points", "32"],
+        ["compare", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],
+        ["exact", "--tmax", "1e308", "--samples", "2"],
     ])
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
@@ -206,6 +279,25 @@ class TestExitCodes:
         assert "Warning" not in err
         if code == 0:
             assert "nan" not in out.lower()
+
+
+class TestOptionTable:
+
+    def test_one_flag_per_key_from_the_table(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, p in sub.choices.items():
+            flags = [a for a in p._actions if a.dest not in ("help", "config")]
+            assert sorted(a.dest for a in flags) == sorted(_SCHEMA), command
+            for action in flags:
+                kind, _, allowed, _ = _SCHEMA[action.dest]
+                assert action.option_strings == [
+                    "--" + action.dest.replace("_", "-")]
+                assert action.type is kind
+                assert action.default is None  # a file value is not overridden
+                assert action.choices == (allowed if isinstance(allowed, tuple)
+                                          else None)
 
 
 class TestThetaCheck:
