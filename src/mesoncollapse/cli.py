@@ -137,8 +137,15 @@ def _build_model(config, params, grid):
 
 def _sample_times(config, snap_dt=None):
     """Evenly spaced sample times in (0, tmax], snapped to multiples of dt."""
+    try:
+        steps = np.arange(1, config["samples"] + 1)
+    except ValueError:                   # numpy: "array is too big"
+        steps = ()
+    if len(steps) != config["samples"]:  # near 2**63 arange wraps to empty
+        raise ParameterError("samples=%d exceeds the largest array"
+                             % config["samples"])
     with np.errstate(over="ignore"):     # an overflow is rejected below
-        times = config["tmax"] * np.arange(1, config["samples"] + 1) / config["samples"]
+        times = config["tmax"] * steps / config["samples"]
         if snap_dt is not None:
             times = np.round(times / snap_dt) * snap_dt
     if not np.all(np.isfinite(times)):

@@ -14,15 +14,24 @@ path W^eps(t) = int_0^t Wdot^eps ds (Wong & Zakai, Ann. Math. Stat. 36, 1560
 J. Phys. A 38, 3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt +
 sqrt(lam) A.Y_t - lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
 ``run_ensemble`` evaluates the linear and mollified solutions at the sample
-times; for the collapse kind it steps only Y (nc reals per trajectory) and
-builds psi at the sample times, normalized by construction, so it never
-raises NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's
+times; for the collapse kind it steps only Y (one real per channel and
+trajectory) and builds psi at the sample times, normalized by construction,
+so it never raises NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's
 one-step form; ``step_ito_linear`` (Euler-Maruyama, norm-checked),
 ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
 mollified-noise ODE) remain as references.  Reductions run in fixed chunk
 order, so results do not depend on the worker count.
+
+The noise enters every one of these laws only through its covariance
+sum_i A_i A_i, i.e. G^T G for the profile G.  So ``run_ensemble`` runs on
+``model.reduced()``: the r <= n_channels rows S_r V_r^T of G = U S V^T with
+s_k > sqrt(eps) s_1, whose Gram matrix is G^T G to eps ||G^T G||, and the
+rotated increments U_r^T dW are again independent Wiener increments.  Each
+step draws r normals instead of n_channels (34 of 96 on a 96-point CSL grid
+with rC = 6 grid spacings) from the same law; QMUPL (rank 1) is unchanged.
 """
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +50,11 @@ WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
 
 # steps per increment draw of the collapse kind
 _BLOCK_STEPS = 256
+
+# A trajectory's probability is a ratio of two pairwise sums over the grid,
+# good to O(log2(n) eps) relative; values that spread less than this much
+# about their mean differ by rounding only, and their variance reads 0.
+_RESOLUTION = 32 * np.finfo(float).eps
 
 # <M0| and <M0bar| in the mass basis, shape (2 outcomes, 2 mass)
 _FLAVOR_PROJECTORS = np.conj([flavor_to_mass(f) for f in ("M0", "M0bar")])
@@ -221,29 +235,56 @@ class EnsembleResult:
             source="ensemble-%s" % kind)
 
 
+def _moments(p):
+    """(n, mean, M2) of the rows of ``p``, M2 = sum (p - mean)^2 by two passes."""
+    mean = p.sum(axis=0) / len(p)
+    return len(p), mean, ((p - mean) ** 2).sum(axis=0)
+
+
+def _merge_moments(a, b):
+    """(n, mean, M2) of two pooled samples, by the pairwise update of Chan,
+    Golub & LeVeque, Am. Stat. 37, 242 (1983): no sum of squares cancels."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (nb / n),
+            m2_a + m2_b + delta ** 2 * (na * nb / n))
+
+
 def _accumulate(amp, spacing, proj, acc, idx, store_density):
-    """Add this batch's observables at sample slot ``idx``."""
+    """Store this batch's observable moments at sample slots ``idx``."""
     norm2 = np.sum(np.abs(amp) ** 2, axis=(-2, -1)) * spacing      # (B,)
     overlap = np.einsum("om,bnm->bon", proj, amp, optimize=True)                  # (B, 2, n)
     p_flavor = np.sum(np.abs(overlap) ** 2, axis=-1) * spacing / norm2[:, None]
     p_mass = np.sum(np.abs(amp) ** 2, axis=-2) * spacing / norm2[:, None]
-    acc["flavor_sum"][idx] += p_flavor.sum(axis=0)
-    acc["flavor_sq"][idx] += (p_flavor ** 2).sum(axis=0)
-    acc["mass_sum"][idx] += p_mass.sum(axis=0)
-    acc["mass_sq"][idx] += (p_mass ** 2).sum(axis=0)
+    for name, p in (("flavor", p_flavor), ("mass", p_mass)):
+        _, mean, m2 = acc[name]
+        _, mean[idx], m2[idx] = _moments(p)
     if store_density:
         scaled = amp / np.sqrt(norm2)[:, None, None]
         acc["density_sum"][idx] += np.einsum("bxm,byn->mnxy", scaled, np.conj(scaled), optimize=True)
 
 
-def _new_accumulators(n_times, n_points, store_density):
-    acc = {
-        "flavor_sum": np.zeros((n_times, 2)), "flavor_sq": np.zeros((n_times, 2)),
-        "mass_sum": np.zeros((n_times, 2)), "mass_sq": np.zeros((n_times, 2)),
-    }
+def _new_accumulators(n_batch, n_times, n_points, store_density):
+    """Per-slot (n, mean, M2) of each observable, and the density sum."""
+    acc = {name: (n_batch, np.zeros((n_times, 2)), np.zeros((n_times, 2)))
+           for name in ("flavor", "mass")}
     if store_density:
         acc["density_sum"] = np.zeros((n_times, 2, 2, n_points, n_points), dtype=complex)
     return acc
+
+
+def _merge_chunks(a, b):
+    return {key: a[key] + b[key] if key == "density_sum"
+            else _merge_moments(a[key], b[key]) for key in a}
+
+
+def _mean_stderr(moments):
+    """Mean, standard error of the mean and sample variance of (n, mean, M2)."""
+    n, mean, m2 = moments
+    var = m2 / max(n - 1, 1)
+    var[var <= (_RESOLUTION * mean) ** 2] = 0.0
+    return mean, np.sqrt(var / n), var
 
 
 def _increments(rngs, n_steps, nc, dt):
@@ -262,7 +303,7 @@ def _sample_slots(sample_steps):
 
 
 def _nonlinear_path(model, spec, amp0, n_steps, stops, rngs):
-    """Collapse SDE on its driving process: nc reals per trajectory.
+    """Collapse SDE on its driving process: one real per channel and trajectory.
 
     Increments are drawn _BLOCK_STEPS steps at a time; consecutive draws
     from one Philox stream equal one large draw bit for bit.
@@ -310,12 +351,13 @@ _PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _exact_path,
 
 def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices,
                store_density):
-    """Accumulate one batch of trajectories at the sample steps.
+    """Moments of one batch of trajectories at the sample steps.
 
     The kind's path generator yields (step, psi batch) at each sample step
     from the trajectories' own Philox streams.
     """
-    acc = _new_accumulators(len(sample_steps), model.grid.n_points, store_density)
+    acc = _new_accumulators(len(indices), len(sample_steps), model.grid.n_points,
+                            store_density)
     slots = _sample_slots(sample_steps)
     rngs = [path_generator(seed, traj) for traj in indices]
     for k, amp in _PATHS[spec.kind](model, spec, amp0, n_steps, slots, rngs):
@@ -344,9 +386,11 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     """Stream ``n_traj`` trajectories and accumulate their observables.
 
     Per-trajectory noise streams are derived from (seed, trajectory index)
-    with a counter-based generator, and partial sums are reduced in fixed
-    chunk order, so the result is bit-reproducible and independent of the
-    worker count.
+    with a counter-based generator, and the chunks' moments are merged in
+    fixed chunk order, so the result is bit-reproducible and independent of
+    the worker count.  The chunk size comes from the caller's model; the
+    chunks then run on ``model.reduced()`` and draw r <= n_channels normals
+    per step, of the same law.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -381,6 +425,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
         # holds less noise at a time than a full (batch, n_steps, nc) array
         batch_size = int(np.clip(MAX_NOISE_BYTES // max(per_traj, 1), 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
+    model = model.reduced()
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
               int(seed), range(a, b), store_density)
              for a, b in zip(edges[:-1], edges[1:])]
@@ -391,21 +436,12 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     else:
         partials = [_run_chunk(*t) for t in tasks]
 
-    total = partials[0]
-    for part in partials[1:]:
-        for key in total:
-            total[key] += part[key]
-
-    n = float(n_traj)
-    def _mean_stderr(sum_, sq_):
-        var = np.maximum(sq_ - sum_ ** 2 / n, 0.0) / max(n - 1.0, 1.0)
-        return sum_ / n, np.sqrt(var / n), var
-
-    flavor_mean, flavor_stderr, _ = _mean_stderr(total["flavor_sum"], total["flavor_sq"])
-    mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass_sum"], total["mass_sq"])
+    total = functools.reduce(_merge_chunks, partials)
+    flavor_mean, flavor_stderr, _ = _mean_stderr(total["flavor"])
+    mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass"])
     mean_density = None
     if store_density:
-        density = total["density_sum"] / n
+        density = total["density_sum"] / float(n_traj)
         density.setflags(write=False)
         mean_density = tuple(DensityBlocks(b, model.grid) for b in density)
     return EnsembleResult(times=sample_times, n_traj=n_traj,

@@ -9,7 +9,7 @@ rate is built from them.  The Hamiltonian is mass-diagonal, so it commutes
 with every channel and evolution never mixes mass eigenstates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,12 @@ class CollapseModel:
         per-channel coupling is coupling * channel_measure.  It is 1 for the
         discrete QMUPL channels and the grid spacing for the CSL noise field
         (whose channel index discretizes a continuum).
+
+    Only the Gram matrix G^T G enters the physics: it is the covariance of
+    the noise field sum_i w_i G_i, and the master equation reads nothing
+    else.  ``reduced()`` returns a model whose r <= n_channels rows keep the
+    singular values s_k > sqrt(eps) s_1 of G and so the Gram matrix to
+    eps ||G^T G||; ensembles draw r normals per step from it, same law.
     """
 
     label: str
@@ -68,6 +74,22 @@ class CollapseModel:
     def profile_square_sum(self):
         """s(x) = sum_i G_i(x)^2, shape (n_points,); sum_i A_i^2 = s r_mu^2."""
         return np.einsum("ix,ix->x", self.profile, self.profile)
+
+    def reduced(self):
+        """The same model on the rank-r row space of G: profile S_r V_r^T.
+
+        With G = U S V^T, the rows S_r V_r^T keep every singular value
+        s_k > sqrt(eps) s_1, so their Gram matrix equals G^T G up to
+        s_(r+1)^2 <= eps s_1^2 = eps ||G^T G||_2, the rounding of G^T G
+        itself (Golub & Van Loan, Matrix Computations, sec. 2.4): the noise
+        field, and so every trajectory law, is unchanged.  Returns ``self``
+        when no row can be dropped.
+        """
+        _, s, vt = np.linalg.svd(self.profile, full_matrices=False)
+        r = int(np.count_nonzero(s > np.sqrt(np.finfo(float).eps) * s[0]))
+        if r == self.n_channels:
+            return self
+        return replace(self, profile=s[:r, None] * vt[:r])
 
 
 def build_hamiltonian(params):

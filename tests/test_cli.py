@@ -149,6 +149,9 @@ class TestExitCodes:
         ["exact", "--tmax", "1e308", "--samples", "2"],
         ["compare", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
          "--ntraj", "4", "--grid-points", "32"],
+        # numpy refuses the first sample array; the second wraps to empty
+        ["exact", "--samples", "4611686018427387904"],
+        ["exact", "--samples", "9223372036854775806"],
     ])
     def test_non_finite_or_non_positive_is_config_error(self, args, tmp_path,
                                                         capsys):
@@ -269,6 +272,7 @@ class TestExitCodes:
         ["compare", "--tmax", "1", "--dt", "5e-324", "--samples", "2",
          "--ntraj", "4", "--grid-points", "32"],
         ["exact", "--tmax", "1e308", "--samples", "2"],
+        ["exact", "--samples", "4611686018427387904"],
     ])
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
