@@ -441,7 +441,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass"])
     mean_density = None
     if store_density:
-        density = total["density_sum"] / float(n_traj)
+        density = total["density_sum"] / n_traj
         density.setflags(write=False)
         mean_density = tuple(DensityBlocks(b, model.grid) for b in density)
     return EnsembleResult(times=sample_times, n_traj=n_traj,

@@ -83,8 +83,11 @@ class CollapseModel:
         s_(r+1)^2 <= eps s_1^2 = eps ||G^T G||_2, the rounding of G^T G
         itself (Golub & Van Loan, Matrix Computations, sec. 2.4): the noise
         field, and so every trajectory law, is unchanged.  Returns ``self``
-        when no row can be dropped.
+        when no row can be dropped, and for one channel without an SVD,
+        whose LAPACK call alone adds about 1 MB to a process's peak RSS.
         """
+        if self.n_channels == 1:
+            return self
         _, s, vt = np.linalg.svd(self.profile, full_matrices=False)
         r = int(np.count_nonzero(s > np.sqrt(np.finfo(float).eps) * s[0]))
         if r == self.n_channels:
