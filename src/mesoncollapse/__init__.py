@@ -17,8 +17,7 @@ from .master_eq import (SuperoperatorKernel, TransitionRecord,
                         dyson_expand, dyson_flavor_probabilities,
                         evolve_me_csl_exact, evolve_me_numeric,
                         evolve_me_qmupl_exact, flavor_record,
-                        interference_integral, me_envelope,
-                        me_flavor_probabilities,
+                        me_envelope, me_flavor_probabilities,
                         qmupl_flavor_probabilities, transition_probability)
 from .models import (CSL, QMUPL, CollapseModel, build_csl, build_hamiltonian, build_qmupl,
                      smearing_kernel, smearing_self_convolution)

@@ -16,7 +16,6 @@ file is left behind.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -25,8 +24,7 @@ from . import __version__
 from .core import (DensityBlocks, Grid, GridResolutionError,
                    InvariantViolationError, ModelParams, NormDivergenceError,
                    ParameterError, make_gaussian_state)
-from .integrators import (INTEGRATOR_KINDS, IntegratorSpec, resolve_workers,
-                          run_ensemble)
+from .integrators import INTEGRATOR_KINDS, IntegratorSpec, run_ensemble
 from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
                         flavor_record, me_flavor_probabilities)
 from .models import CSL, QMUPL, build_csl, build_qmupl
@@ -246,12 +244,10 @@ def _ensemble(config):
                               config["eps"] or config["tmax"] / 40.0)
     spec = IntegratorSpec(kind=config["integrator"], dt=config["dt"],
                           mollifier=mollifier)
-    workers = resolve_workers(default=os.cpu_count() or 1)
     times = _sample_times(config, snap_dt=spec.dt)
     initial = make_gaussian_state(params, grid, "M0")
     result = run_ensemble(model, spec, initial, float(times[-1]),
-                          config["ntraj"], config["seed"], sample_times=times,
-                          n_workers=workers)
+                          config["ntraj"], config["seed"], sample_times=times)
     return params, model, initial, times, result.to_transition_record(spec.kind)
 
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityBlocks, GridState, NormDivergenceError,
-                   ParameterError, flavor_to_mass, integer_steps)
+from .core import (GridState, NormDivergenceError, ParameterError,
+                   flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
                     _normal, path_generator, window_integrals)
@@ -213,8 +213,8 @@ class EnsembleResult:
 
     ``flavor_mean[:, 0]`` is P(M0), ``flavor_mean[:, 1]`` is P(M0bar);
     ``mass_mean`` the (H, L) populations.  Standard errors come from the
-    across-trajectory variance.  ``mean_density`` (optional) is the list of
-    averaged DensityBlocks, Hermitian by construction.
+    across-trajectory variance.  All four come from one (T, 4) reduction
+    over the columns [P(M0), P(M0bar), P(H), P(L)].
     """
 
     times: np.ndarray
@@ -224,7 +224,6 @@ class EnsembleResult:
     mass_mean: np.ndarray
     mass_stderr: np.ndarray
     mass_var: np.ndarray
-    mean_density: tuple = None
 
     def to_transition_record(self, kind):
         return TransitionRecord(
@@ -251,32 +250,13 @@ def _merge_moments(a, b):
             m2_a + m2_b + delta ** 2 * (na * nb / n))
 
 
-def _accumulate(amp, spacing, proj, acc, idx, store_density):
-    """Store this batch's observable moments at sample slots ``idx``."""
+def _observables(amp, spacing):
+    """[P(M0), P(M0bar), P(H), P(L)] of each trajectory in the batch, (B, 4)."""
     norm2 = np.sum(np.abs(amp) ** 2, axis=(-2, -1)) * spacing      # (B,)
-    overlap = np.einsum("om,bnm->bon", proj, amp, optimize=True)                  # (B, 2, n)
-    p_flavor = np.sum(np.abs(overlap) ** 2, axis=-1) * spacing / norm2[:, None]
-    p_mass = np.sum(np.abs(amp) ** 2, axis=-2) * spacing / norm2[:, None]
-    for name, p in (("flavor", p_flavor), ("mass", p_mass)):
-        _, mean, m2 = acc[name]
-        _, mean[idx], m2[idx] = _moments(p)
-    if store_density:
-        scaled = amp / np.sqrt(norm2)[:, None, None]
-        acc["density_sum"][idx] += np.einsum("bxm,byn->mnxy", scaled, np.conj(scaled), optimize=True)
-
-
-def _new_accumulators(n_batch, n_times, n_points, store_density):
-    """Per-slot (n, mean, M2) of each observable, and the density sum."""
-    acc = {name: (n_batch, np.zeros((n_times, 2)), np.zeros((n_times, 2)))
-           for name in ("flavor", "mass")}
-    if store_density:
-        acc["density_sum"] = np.zeros((n_times, 2, 2, n_points, n_points), dtype=complex)
-    return acc
-
-
-def _merge_chunks(a, b):
-    return {key: a[key] + b[key] if key == "density_sum"
-            else _merge_moments(a[key], b[key]) for key in a}
+    overlap = np.einsum("om,bnm->bon", _FLAVOR_PROJECTORS, amp, optimize=True)  # (B, 2, n)
+    p_flavor = np.sum(np.abs(overlap) ** 2, axis=-1) * spacing
+    p_mass = np.sum(np.abs(amp) ** 2, axis=-2) * spacing
+    return np.hstack([p_flavor, p_mass]) / norm2[:, None]
 
 
 def _mean_stderr(moments):
@@ -349,25 +329,23 @@ _PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _exact_path,
           "stratonovich": _exact_path, "wong-zakai": _exact_path}
 
 
-def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices,
-               store_density):
-    """Moments of one batch of trajectories at the sample steps.
+def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices):
+    """(n, mean, M2) of one batch's observables, (T, 4) each, at the sample steps.
 
     The kind's path generator yields (step, psi batch) at each sample step
     from the trajectories' own Philox streams.
     """
-    acc = _new_accumulators(len(indices), len(sample_steps), model.grid.n_points,
-                            store_density)
+    mean = np.zeros((len(sample_steps), 4))
+    m2 = np.zeros_like(mean)
     slots = _sample_slots(sample_steps)
     rngs = [path_generator(seed, traj) for traj in indices]
     for k, amp in _PATHS[spec.kind](model, spec, amp0, n_steps, slots, rngs):
-        _accumulate(amp, model.grid.spacing, _FLAVOR_PROJECTORS, acc, slots[k],
-                    store_density)
-    return acc
+        _, mean[slots[k]], m2[slots[k]] = _moments(_observables(amp, model.grid.spacing))
+    return len(indices), mean, m2
 
 
-def resolve_workers(n_workers=None, default=1):
-    """Worker count: ``n_workers``, else $MESONCOLLAPSE_WORKERS, else ``default``."""
+def resolve_workers(n_workers=None):
+    """Worker count: ``n_workers``, else $MESONCOLLAPSE_WORKERS, else every core."""
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get(WORKERS_ENV)
@@ -377,20 +355,22 @@ def resolve_workers(n_workers=None, default=1):
         except ValueError:
             raise ParameterError("%s must be an integer, got %r"
                                  % (WORKERS_ENV, env)) from None
-    return default
+    return os.cpu_count() or 1
 
 
 def run_ensemble(model, spec, initial, t_max, n_traj, seed,
                  sample_times=None, n_samples=10, n_workers=None,
-                 store_density=False, batch_size=None):
+                 batch_size=None):
     """Stream ``n_traj`` trajectories and accumulate their observables.
 
-    Per-trajectory noise streams are derived from (seed, trajectory index)
-    with a counter-based generator, and the chunks' moments are merged in
-    fixed chunk order, so the result is bit-reproducible and independent of
-    the worker count.  The chunk size comes from the caller's model; the
-    chunks then run on ``model.reduced()`` and draw r <= n_channels normals
-    per step, of the same law.
+    Each chunk of trajectories reduces to one (n, mean, M2) triple over
+    [P(M0), P(M0bar), P(H), P(L)] at the sample times.  Per-trajectory
+    noise streams are derived from (seed, trajectory index) with a
+    counter-based generator, and the chunks' moments are merged in fixed
+    chunk order, so the result is bit-reproducible and independent of the
+    worker count, ``resolve_workers(n_workers)``.  The chunk size comes from
+    the caller's model; the chunks then run on ``model.reduced()`` and draw
+    r <= n_channels normals per step, of the same law.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -427,24 +407,17 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
     model = model.reduced()
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
-              int(seed), range(a, b), store_density)
+              int(seed), range(a, b))
              for a, b in zip(edges[:-1], edges[1:])]
     workers = resolve_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
             partials = list(ex.map(_run_chunk, *zip(*tasks)))
     else:
         partials = [_run_chunk(*t) for t in tasks]
 
-    total = functools.reduce(_merge_chunks, partials)
-    flavor_mean, flavor_stderr, _ = _mean_stderr(total["flavor"])
-    mass_mean, mass_stderr, mass_var = _mean_stderr(total["mass"])
-    mean_density = None
-    if store_density:
-        density = total["density_sum"] / n_traj
-        density.setflags(write=False)
-        mean_density = tuple(DensityBlocks(b, model.grid) for b in density)
+    mean, stderr, var = _mean_stderr(functools.reduce(_merge_moments, partials))
     return EnsembleResult(times=sample_times, n_traj=n_traj,
-                          flavor_mean=flavor_mean, flavor_stderr=flavor_stderr,
-                          mass_mean=mass_mean, mass_stderr=mass_stderr,
-                          mass_var=mass_var, mean_density=mean_density)
+                          flavor_mean=mean[:, :2], flavor_stderr=stderr[:, :2],
+                          mass_mean=mean[:, 2:], mass_stderr=stderr[:, 2:],
+                          mass_var=var[:, 2:])

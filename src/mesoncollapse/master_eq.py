@@ -229,11 +229,6 @@ def transition_probability(rho, out, validate=True):
     return float(val)
 
 
-def interference_integral(rho):
-    """int dx rho^{HL}(x, x), the complex oscillation amplitude."""
-    return complex(np.sum(rho.hl_diagonal()))
-
-
 def me_flavor_probabilities(model, rho0, times, dt, dim=1):
     """Grid master-equation flavor probabilities at the sample times.
 

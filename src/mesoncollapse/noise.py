@@ -62,12 +62,6 @@ class NoisePath:
     def n_channels(self):
         return self.increments.shape[1]
 
-    def cumulative(self):
-        """W at the grid times 0, dt, ..., n_steps*dt; shape (n_steps+1, n_channels)."""
-        out = np.zeros((self.n_steps + 1, self.n_channels))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
 
 def path_generator(seed, stream=None):
     """Counter-based generator for a (seed, stream) pair.

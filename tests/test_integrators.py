@@ -1,6 +1,7 @@
 """Tests for trajectory integrators and ensemble averaging."""
 
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestPathwiseProperties:
                 state = state0
                 for k in range(n_steps):
                     state = step_stratonovich(state, model, path.increments[k], dt)
-                w_t = path.cumulative()[-1]
+                w_t = path.increments.sum(axis=0)
                 a = model.channels[0]
                 # remove the tiny Hamiltonian phase, keep the noise factor
                 phase = np.exp(1j * np.sqrt(lam) * a * w_t[0]
@@ -216,9 +217,15 @@ class TestWongZakai:
         m = Mollifier(kind, 0.08)
         dt, n_steps = m.eps / 4.0, 24
         t_max = n_steps * dt
-        res = run_ensemble(model, IntegratorSpec("wong-zakai", dt, mollifier=m),
-                           state0, t_max, 1, seed=21, sample_times=[t_max],
-                           store_density=True)
+        spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
+        (_, amp), = integrators._exact_path(model, spec, state0.amplitudes,
+                                            n_steps, {n_steps},
+                                            [path_generator(21, 0)])
+        path = GridState(amp[0], grid)
+        res = run_ensemble(model, spec, state0, t_max, 1, seed=21,
+                           sample_times=[t_max])
+        assert res.flavor_mean[0, 0] == pytest.approx(
+            path.flavor_probability("M0"), abs=1e-12)
         lo, hi = m.support()
         n_base = int(np.ceil((t_max - lo + hi) / dt))
         dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
@@ -229,8 +236,8 @@ class TestWongZakai:
         for refine in (2, 4):
             t_grid = np.linspace(0.0, t_max, refine * n_steps + 1)
             rk4 = integrate_wong_zakai(state0, model, noise, t_grid)[-1]
-            rho = DensityBlocks.from_state(rk4).blocks
-            errs.append(np.max(np.abs(res.mean_density[0].blocks - rho)))
+            errs.append(np.max(np.abs(DensityBlocks.from_state(path).blocks
+                                      - DensityBlocks.from_state(rk4).blocks)))
         order = 4 if kind == "gaussian" else 1
         assert errs[0] / errs[1] > 0.8 * 2 ** order
         assert errs[1] < (1e-9 if kind == "gaussian" else 3e-3)
@@ -283,8 +290,11 @@ class TestRunEnsemble:
         the summed increments of the trajectory's own noise stream."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         dt, times = 0.01, np.array([0.2, 0.5])
-        res = run_ensemble(model, IntegratorSpec(kind, dt), state0, 0.5, 1,
-                           seed=21, sample_times=times, store_density=True)
+        spec = IntegratorSpec(kind, dt)
+        res = run_ensemble(model, spec, state0, 0.5, 1, seed=21,
+                           sample_times=times)
+        path = dict(integrators._exact_path(model, spec, state0.amplitudes, 50,
+                                            {20, 50}, [path_generator(21, 0)]))
         dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
                                           size=(50, model.n_channels))
         w = np.cumsum(dw, axis=0)
@@ -293,8 +303,8 @@ class TestRunEnsemble:
             field = np.einsum("i,inm->nm", w_t, model.channels)
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t + 1j * np.sqrt(0.3) * field), grid)
-            rho = DensityBlocks.from_state(exact).blocks
-            assert np.max(np.abs(res.mean_density[k].blocks - rho)) < 1e-12
+            amp = path[int(round(t / dt))][0]
+            assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
 
@@ -401,14 +411,13 @@ class TestRunEnsemble:
         diff = abs(float(res.flavor_mean[0, 0]) - expected)
         assert diff < 3.0 * max(float(res.flavor_stderr[0, 0]), 2e-4)
 
-    def test_mean_density_hermitian_unit_trace(self):
+    def test_flavor_and_mass_means_sum_to_one(self):
         params, _, model, state0 = qmupl_setup(lam=0.3)
         res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.01),
                            state0, 0.2, 25, seed=6,
-                           sample_times=np.array([0.2]), store_density=True)
-        rho = res.mean_density[0]
-        assert abs(rho.trace() - 1.0) < 1e-9
-        assert rho.hermiticity_defect() < 1e-12
+                           sample_times=np.array([0.2]))
+        for mean in (res.flavor_mean, res.mass_mean):
+            assert np.all(np.abs(mean.sum(axis=1) - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("kind", ["ito-nonlinear", "wong-zakai"])
     def test_repeated_sample_time_fills_every_slot(self, kind):
@@ -427,11 +436,10 @@ class TestRunEnsemble:
         params, grid, model, _ = qmupl_setup(lam=200.0)
         state0 = make_gaussian_state(params, grid, "H")
         res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.05), state0,
-                           2.0, 50, seed=4, n_samples=4, store_density=True)
+                           2.0, 50, seed=4, n_samples=4)
         for name in ("flavor_mean", "flavor_stderr", "mass_mean",
                      "mass_stderr", "mass_var"):
             assert np.all(np.isfinite(getattr(res, name)))
-        assert all(np.all(np.isfinite(rho.blocks)) for rho in res.mean_density)
         assert np.all(res.mass_mean[:, 0] == 1.0)
         assert np.all(res.mass_mean[:, 1] == 0.0)
 
@@ -461,6 +469,21 @@ class TestRunEnsemble:
         for k in range(res.times.size):
             err = max(float(res.mass_stderr[k, 0]), 1e-6)
             assert abs(float(res.mass_mean[k, 0]) - 0.5) < 3.0 * err + 1e-9
+
+
+class TestResolveWorkers:
+
+    @pytest.mark.parametrize("cores, expected", [(3, 3), (None, 1)])
+    def test_default_is_every_core(self, monkeypatch, cores, expected):
+        monkeypatch.delenv(integrators.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert integrators.resolve_workers() == expected
+
+    def test_argument_then_environment_win(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv(integrators.WORKERS_ENV, "2")
+        assert integrators.resolve_workers() == 2
+        assert integrators.resolve_workers(5) == 5
 
 
 class TestStreamedMoments:
@@ -501,10 +524,10 @@ class TestReducedNoise:
         run_chunk = integrators._run_chunk
 
         def recording_run_chunk(model, spec, amp0, n_steps, sample_steps,
-                                seed, indices, store_density):
+                                seed, indices):
             chunks.append((model.n_channels, indices))
             return run_chunk(model, spec, amp0, n_steps, sample_steps, seed,
-                             indices, store_density)
+                             indices)
 
         monkeypatch.setattr(integrators, "_run_chunk", recording_run_chunk)
         kwargs = dict(t_max=n_steps * 0.001, n_traj=45, seed=9, n_samples=2)

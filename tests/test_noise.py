@@ -78,13 +78,6 @@ class TestSampleWiener:
         sigma = dt * np.sqrt(2.0 / path.increments.size)
         assert abs(var - dt) < 3.0 * sigma
 
-    def test_cumulative_starts_at_zero(self):
-        path = sample_wiener(3, 0.1, 10, 2)
-        w = path.cumulative()
-        assert w.shape == (11, 2)
-        assert np.all(w[0] == 0.0)
-        assert np.allclose(w[-1], path.increments.sum(axis=0))
-
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0, "n_steps": 10},
         {"dt": 0.1, "n_steps": 0},
@@ -218,7 +211,7 @@ class TestMollify:
                 path = sample_wiener(seed, dt, n)
                 samples = mollified_values(path, Mollifier(kind, eps), t_grid)
                 integral = np.trapezoid(samples[:, 0], t_grid)
-                errs.append(integral - path.cumulative()[-1, 0])
+                errs.append(integral - path.increments.sum(axis=0)[0])
             rms.append(np.sqrt(np.mean(np.square(errs))))
         assert rms[1] <= 0.75 * rms[0]
 
