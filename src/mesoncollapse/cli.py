@@ -15,7 +15,6 @@ file is left behind.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -174,6 +173,7 @@ def _emit_table(config, columns, rows, extra_header=()):
         for row in rows:
             text += ",".join(_format_cell(cell) for cell in row) + "\n"
     else:
+        import json  # only the JSON format needs it, so CSV runs skip it
         doc = {
             "version": __version__,
             "config": {key: config[key] for key in sorted(config) if key != "out"},
@@ -326,15 +326,18 @@ def build_parser():
         prog="mesoncollapse",
         description="Collapse-model dynamics of neutral two-level mesons.")
     parser.add_argument("--version", action="version", version=__version__)
+    # one declaration of the options, shared by every subcommand
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="flat key = value config file")
+    for key, (kind, default, allowed, text) in _SCHEMA.items():
+        options.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                             choices=allowed if isinstance(allowed, tuple) else None,
+                             help=text if default is None
+                             else "%s (default: %s)" % (text, default))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name, help="run the %s experiment" % name)
-        p.add_argument("--config", help="flat key = value config file")
-        for key, (kind, default, allowed, text) in _SCHEMA.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
-                           choices=allowed if isinstance(allowed, tuple) else None,
-                           help=text if default is None
-                           else "%s (default: %s)" % (text, default))
+        sub.add_parser(name, parents=[options],
+                       help="run the %s experiment" % name)
     return parser
 
 

@@ -33,7 +33,6 @@ with rC = 6 grid spacings) from the same law; QMUPL (rank 1) is unchanged.
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,6 +410,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
              for a, b in zip(edges[:-1], edges[1:])]
     workers = resolve_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, socket and
+        # subprocess, which no single-chunk or single-worker run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
             partials = list(ex.map(_run_chunk, *zip(*tasks)))
     else:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import ParameterError
 
@@ -198,8 +197,11 @@ def _gauss_legendre():
     """16-point Gauss-Legendre (nodes, weights) on [-1, 1], built once.
 
     Built on first use, not at import: ``leggauss`` runs a LAPACK
-    eigensolver whose pages every CLI process would otherwise load.
+    eigensolver whose pages every CLI process would otherwise load.  Its
+    import is deferred too, so ``numpy.polynomial`` (nine modules) loads
+    only in a process that integrates.
     """
+    from numpy.polynomial.legendre import leggauss
     return leggauss(16)
 
 

@@ -22,12 +22,13 @@ def run_cli(args):
     return main(args)
 
 
-def run_cli_process(args, script=None):
+def run_cli_process(args, script=None, env=None):
     """The CLI in a fresh interpreter: (exit status, stdout, stderr).
 
     ``script`` replaces ``-m mesoncollapse.cli`` with ``-c script``; it
-    receives ``args`` as ``sys.argv[1:]``."""
-    env = dict(os.environ, MESONCOLLAPSE_WORKERS="1")
+    receives ``args`` as ``sys.argv[1:]``.  ``env`` entries override the
+    inherited environment, in which MESONCOLLAPSE_WORKERS is 1."""
+    env = dict(os.environ, MESONCOLLAPSE_WORKERS="1") | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     entry = ["-c", script] if script else ["-m", "mesoncollapse.cli"]
@@ -365,3 +366,58 @@ class TestMeAndDyson:
         assert captured.out == ""
         assert "RuntimeWarning" not in captured.err
         assert "numerical error" in captured.err
+
+
+# runs the CLI, then prints which of the named modules the process loaded
+_LOADED_SCRIPT = (
+    "import sys\n"
+    "from mesoncollapse.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "print('loaded:', [m for m in sys.argv[1].split(',') if m in sys.modules],\n"
+    "      file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+# CSL on 96 channels: 2000 steps x 96 channels x 8 bytes gives batches of
+# 43 trajectories, so 50 trajectories run as two chunks
+_TWO_CHUNK_COMPARE = [
+    "compare", "--model", "csl", "--gamma", "0.3", "--rc", "1.0",
+    "--grid-points", "96", "--grid-extent", "16",
+    "--integrator", "stratonovich", "--tmax", "2", "--dt", "0.001",
+    "--samples", "4", "--ntraj", "50", "--seed", "3"]
+
+
+class TestStartup:
+    """Modules one command path needs are imported inside that path."""
+
+    def test_exact_loads_no_pool_json_polynomial_or_random(self):
+        heavy = ("concurrent.futures", "multiprocessing", "json",
+                 "numpy.polynomial", "numpy.random")
+        code, out, err = run_cli_process(
+            [",".join(heavy), "exact", "--tmax", "1", "--samples", "2"],
+            _LOADED_SCRIPT)
+        assert code == 0
+        assert out.count("\n") > 2  # the CSV table was written
+        assert err.strip() == "loaded: []"
+
+    def test_pooled_compare_matches_one_worker(self):
+        """Two workers on two chunks start the pool, imported on first use,
+        and print the bytes of one worker."""
+        outputs = {}
+        for workers in ("1", "2"):
+            code, outputs[workers], err = run_cli_process(
+                ["concurrent.futures"] + _TWO_CHUNK_COMPARE, _LOADED_SCRIPT,
+                env={"MESONCOLLAPSE_WORKERS": workers})
+            assert code == 0, err
+            pooled = "['concurrent.futures']" if workers == "2" else "[]"
+            assert "loaded: %s" % pooled in err
+        assert outputs["1"] == outputs["2"]
+
+    def test_theta_check_json_in_fresh_process(self):
+        code, out, err = run_cli_process(
+            ["theta-check", "--tmax", "1", "--ntraj", "200", "--format", "json"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["columns"][:3] == ["eps", "i_epsilon", "theta_zero"]
+        eps, _, theta_zero = doc["rows"][-1][:3]
+        assert eps == pytest.approx(1.0 / 100.0)
+        assert abs(theta_zero - 0.5) < 1e-3
