@@ -286,7 +286,13 @@ def run_theta_check(config):
 
 
 def run_compare(config):
-    """Oracle triangle: exact vs grid ME vs trajectory ensemble at 3 sigma."""
+    """Oracle triangle: exact vs grid ME vs trajectory ensemble at 3 sigma.
+
+    A ``wong-zakai`` ensemble is the eps-mollified mean, judged against the
+    eps -> 0 closed form: its O(eps) early bias (4.3 to 7.1 sigma at 4000
+    trajectories on the csl-field bench model) makes a large-ntraj compare
+    FAIL by construction.
+    """
     params, model, initial, times, ens = _ensemble(config)
     # the closed form after run_ensemble has checked the sample times
     exact = flavor_record(params, times, _MODELS[config["model"]][0])

@@ -14,12 +14,13 @@ path W^eps(t) = int_0^t Wdot^eps ds (Wong & Zakai, Ann. Math. Stat. 36, 1560
 J. Phys. A 38, 3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt +
 sqrt(lam) A.Y_t - lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
 ``run_ensemble`` evaluates the linear and mollified solutions at the sample
-times; for the collapse kind it steps only Y (one real per channel and
-trajectory) and builds psi at the sample times, normalized by construction,
-so it never raises NormDivergenceError.  ``step_ito_nonlinear`` is that scheme's
-one-step form; ``step_ito_linear`` (Euler-Maruyama, norm-checked),
-``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
-mollified-noise ODE) remain as references.  Reductions run in fixed chunk
+times, the linear ones from one normal per channel and sample segment and
+so independent of dt; for the collapse kind it steps only Y (one real per
+channel and trajectory) and builds psi at the sample times, normalized by
+construction, so it never raises NormDivergenceError.  ``step_ito_nonlinear``
+is that scheme's one-step form; ``step_ito_linear`` (Euler-Maruyama,
+norm-checked), ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4
+on the mollified-noise ODE) remain as references.  Reductions run in fixed chunk
 order, so results do not depend on the worker count.
 
 The noise enters every one of these laws only through its covariance
@@ -27,7 +28,7 @@ sum_i A_i A_i, i.e. G^T G for the profile G.  So ``run_ensemble`` runs on
 ``model.reduced()``: the r <= n_channels rows S_r V_r^T of G = U S V^T with
 s_k > sqrt(eps) s_1, whose Gram matrix is G^T G to eps ||G^T G||, and the
 rotated increments U_r^T dW are again independent Wiener increments.  Each
-step draws r normals instead of n_channels (34 of 96 on a 96-point CSL grid
+draw takes r normals instead of n_channels (34 of 96 on a 96-point CSL grid
 with rC = 6 grid spacings) from the same law; QMUPL (rank 1) is unchanged.
 """
 
@@ -299,25 +300,26 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
     and the Stratonovich form alike, and for the mollified-noise ODE with W
-    replaced by W^eps, since H and every A_i are diagonal and commute.  Each
-    trajectory draws the same Philox increments a stepping scheme would.
-    The linear kinds sum them one segment (between sample steps) at a time;
-    Wong-Zakai maps them to every sample step with one weight matrix from
-    ``window_integrals``, W^eps(t) = sum_k dW_k [F(t - t_k) - F(-t_k)], F
-    the mollifier's CDF and t_k the midpoint of base step k.
+    replaced by W^eps, since H and every A_i are diagonal and commute.  The
+    linear kinds draw W(t_s) - W(t_{s-1}) ~ N(0, (t_s - t_{s-1}) I) directly,
+    one normal per channel and segment between sample steps, so their
+    result does not depend on dt.  Wong-Zakai draws the base-step
+    increments a stepping scheme would and maps them to every sample step
+    with one weight matrix from ``window_integrals``, W^eps(t) = sum_k dW_k
+    [F(t - t_k) - F(-t_k)], F the mollifier's CDF and t_k the midpoint of
+    base step k.
     """
     nc, dt = model.n_channels, spec.dt
-    sd = np.sqrt(dt)
     order = sorted(stops)
     if spec.kind == "wong-zakai":
         t_mid, weights = window_integrals(spec.mollifier, dt * np.array(order),
                                           n_steps * dt, dt)
-        w = np.stack([weights @ _normal(rng, sd, (t_mid.size, nc))
+        w = np.stack([weights @ _normal(rng, np.sqrt(dt), (t_mid.size, nc))
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
-        w = np.cumsum([[_normal(rng, sd, (b - a, nc)).sum(axis=0)
-                        for rng in rngs] for a, b in zip([0] + order, order)],
-                      axis=0)                            # (n_stops, B, nc)
+        seg_sd = np.sqrt(dt * np.diff([0] + order))[:, None]
+        w = np.cumsum(np.stack([_normal(rng, seg_sd, (len(order), nc))
+                                for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
     root_lam = np.sqrt(model.effective_coupling)
     for stop, w_t in zip(order, w):
         phase = root_lam * model.field(w_t) - model.hamiltonian * (stop * dt)
@@ -388,15 +390,6 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
                                  "sample times must be integer multiples of dt")
     if np.any((sample_steps < 0) | (sample_steps > n_steps)):
         raise ParameterError("sample times must lie in [0, t_max]")
-    if spec.kind in ("ito-linear", "stratonovich"):
-        # _exact_path draws one sample-to-sample segment at a time
-        stops = np.unique(np.append(sample_steps, 0))
-        segment_bytes = int(np.max(np.diff(stops), initial=0)) * model.n_channels * 8
-        if segment_bytes > MAX_NOISE_BYTES:
-            raise ParameterError(
-                "a segment between sample times needs %d noise bytes, above "
-                "the %d-byte cap; use a larger dt or more samples"
-                % (segment_bytes, MAX_NOISE_BYTES))
 
     if batch_size is None:
         per_traj = n_steps * model.n_channels * 8

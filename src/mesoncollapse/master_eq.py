@@ -8,7 +8,7 @@ independent routes to the same answer, and both serve as oracles for the
 Monte Carlo unravelings.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +48,6 @@ class TransitionRecord:
                 "p_same + p_other deviates from 1 by up to %g"
                 % float(np.max(np.abs(total - 1.0))))
         return self
-
-    def with_decay(self, width):
-        """Apply a phenomenological decay factor exp(-width * t) to both columns.
-
-        After this the probabilities no longer sum to 1: the complement is
-        the decayed fraction.
-        """
-        f = np.exp(-width * self.times)
-        return replace(self, p_same=self.p_same * f, p_other=self.p_other * f,
-                       stderr_same=self.stderr_same * f,
-                       stderr_other=self.stderr_other * f,
-                       source=self.source + "+decay")
 
 
 def exact_record(times, p_same, p_other, source):
@@ -122,7 +110,7 @@ def _generator(hamiltonian, rate):
     return _phase_rates(hamiltonian)[:, :, None, None] - rate
 
 
-def evolve_me_numeric(rho0, model, t, dt, validate=True):
+def evolve_me_numeric(rho0, model, t, dt):
     """Step-wise master-equation evolution of DensityBlocks.
 
     Each entry is multiplied per step by exp(dt * (phase - rate)); the
@@ -131,8 +119,7 @@ def evolve_me_numeric(rho0, model, t, dt, validate=True):
     """
     if dt <= 0 or t < 0:
         raise ParameterError("need t >= 0 and dt > 0 (t=%g, dt=%g)" % (t, dt))
-    if validate:
-        rho0.validate(tol=1e-8)
+    rho0.validate(tol=1e-8)
     message = "t=%g is not an integer number of steps dt=%g" % (t, dt)
     n_steps = int(integer_steps(t, dt, max(t, dt), message))
     step = np.exp(_generator(model.hamiltonian, decoherence_rates(model)) * dt)

@@ -287,7 +287,8 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_equal_pathwise_exact_solution(self, kind):
         """One trajectory is psi_0 exp(-iHt + i sqrt(lam) A W_t), with W_t
-        the summed increments of the trajectory's own noise stream."""
+        the summed per-segment draws of the trajectory's own noise stream:
+        one normal per channel for each of the segments of 20 and 30 steps."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         dt, times = 0.01, np.array([0.2, 0.5])
         spec = IntegratorSpec(kind, dt)
@@ -295,11 +296,10 @@ class TestRunEnsemble:
                            sample_times=times)
         path = dict(integrators._exact_path(model, spec, state0.amplitudes, 50,
                                             {20, 50}, [path_generator(21, 0)]))
-        dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
-                                          size=(50, model.n_channels))
-        w = np.cumsum(dw, axis=0)
+        z = path_generator(21, 0).standard_normal((2, model.n_channels))
+        w = np.cumsum(z * np.sqrt(dt * np.array([20, 30]))[:, None], axis=0)
         for k, t in enumerate(times):
-            w_t = w[int(round(t / dt)) - 1]
+            w_t = w[k]
             field = np.einsum("i,inm->nm", w_t, model.channels)
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t + 1j * np.sqrt(0.3) * field), grid)
@@ -374,15 +374,18 @@ class TestRunEnsemble:
                          np.float64(t_max), 1, seed=1, n_samples=2)
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
-    def test_linear_segment_over_noise_cap_rejected(self, kind):
-        """One sample-to-sample segment is drawn at once, so its size is
-        bounded before any draw."""
-        params, _, model, state0 = qmupl_setup()
-        dt = 1e-3
-        n_steps = MAX_NOISE_BYTES // 8 + 1
-        with pytest.raises(ParameterError, match="noise bytes"):
-            run_ensemble(model, IntegratorSpec(kind, dt), state0,
-                         n_steps * dt, 1, seed=1, n_samples=1)
+    def test_linear_kinds_independent_of_dt(self, kind):
+        """W is drawn only at the sample times, so the step size drops out:
+        at dt = 1e-9 a segment spans 3e8 steps and still costs one normal
+        per channel."""
+        params, _, model, state0 = qmupl_setup(lam=0.3)
+        times = np.array([0.2, 0.5])
+        means = [run_ensemble(model, IntegratorSpec(kind, dt), state0, 0.5, 20,
+                              seed=6, sample_times=times,
+                              n_workers=1).flavor_mean
+                 for dt in (1e-2, 1e-4, 1e-9)]
+        for mean in means[1:]:
+            assert np.max(np.abs(mean - means[0])) < 1e-12
 
     def test_standard_normal_draws_equal_normal(self):
         """Scaling standard normals in place is bit-identical to

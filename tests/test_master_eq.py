@@ -326,14 +326,6 @@ class TestTransitionRecord:
                              stderr_same=np.zeros(2), stderr_other=np.zeros(2),
                              source="exact-closed-form").validate()
 
-    def test_with_decay(self):
-        params = ModelParams(lam=0.1)
-        record = flavor_record(params, np.array([0.0, 1.0, 2.0]), QMUPL)
-        decayed = record.with_decay(0.5)
-        f = np.exp(-0.5 * record.times)
-        assert np.allclose(decayed.p_same, record.p_same * f)
-        assert decayed.source.endswith("+decay")
-
 
 class TestDyson:
 
