@@ -6,25 +6,25 @@ collapse SDE), ``ito-linear`` (the linear SDE, pathwise unitary),
 by mollified noise).
 
 H and every channel A_i are diagonal in the position (x) mass basis and
-commute.  So the two linear kinds -- one SDE in two calculi -- share the
-exact solution psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)), the
-mollified-noise ODE has the same solution with W replaced by the mollified
-path W^eps(t) = int_0^t Wdot^eps ds (Wong & Zakai, Ann. Math. Stat. 36, 1560
-(1965)), and by the linear/nonlinear (Girsanov) correspondence (Bassi,
-J. Phys. A 38, 3173 (2005)) the collapse SDE is psi_t ~ psi_0 exp(-iHt +
-sqrt(lam) A.Y_t - lam A^2 t), normalized, with dY = dW + 2 sqrt(lam) <A>_t dt.
-``run_ensemble`` evaluates the linear and mollified solutions at the sample
-times, the linear ones from one normal per channel and sample segment and
-so independent of dt; for the collapse kind it steps only Y (one real per
-channel and trajectory) and builds psi at the sample times, normalized by
-construction, so it never raises NormDivergenceError.  ``step_ito_nonlinear``
-is that scheme's one-step form; ``step_ito_linear`` (Euler-Maruyama,
-norm-checked), ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4
-on the mollified-noise ODE) remain as references.  Reductions run in fixed chunk
+commute, so every kind is solved pathwise, not stepped.  The linear kinds
+-- one SDE in two calculi -- share psi_t = psi_0 exp(-iHt + i sqrt(lam)
+sum_i A_i W_i(t)); the mollified-noise ODE replaces W by W^eps(t) = int_0^t
+Wdot^eps ds (Wong & Zakai, Ann. Math. Stat. 36, 1560 (1965)); the collapse
+SDE is psi_t ~ psi_0 exp(-iHt + sqrt(lam) A.Y_t - lam A^2 t), normalized,
+whose driving process Y is, by the linear/nonlinear correspondence (Bassi,
+J. Phys. A 38, 3173 (2005)), a Brownian motion with one random drift,
+Y_t = W_t + 2 sqrt(lam) A(xi) t, xi = (x, mu) drawn from |psi_0|^2
+(Hughston, Proc. R. Soc. A 452, 953 (1996)).  ``run_ensemble`` evaluates
+these solutions at the sample times only, so the linear and collapse
+results do not depend on dt.  The one-step collapse formula
+``step_ito_nonlinear``, ``step_ito_linear`` (Euler-Maruyama, norm-checked),
+``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
+mollified-noise ODE) remain as references.  Reductions run in fixed chunk
 order, so results do not depend on the worker count.
 
 The noise enters every one of these laws only through its covariance
-sum_i A_i A_i, i.e. G^T G for the profile G.  So ``run_ensemble`` runs on
+sum_i A_i A_i, i.e. G^T G for the profile G, and the collapse drift only
+through A(xi).A, an entry of the same matrix.  So ``run_ensemble`` runs on
 ``model.reduced()``: the r <= n_channels rows S_r V_r^T of G = U S V^T with
 s_k > sqrt(eps) s_1, whose Gram matrix is G^T G to eps ||G^T G||, and the
 rotated increments U_r^T dW are again independent Wiener increments.  Each
@@ -42,14 +42,11 @@ from .core import (GridState, NormDivergenceError, ParameterError,
                    flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
-                    _normal, path_generator, window_integrals)
+                    _normal, increment_count, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
 WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
-
-# steps per increment draw of the collapse kind
-_BLOCK_STEPS = 256
 
 # A trajectory's probability is a ratio of two pairwise sums over the grid,
 # good to O(log2(n) eps) relative; values that spread less than this much
@@ -79,65 +76,59 @@ class IntegratorSpec:
                 "a mollifier must be given exactly for kind='wong-zakai'")
 
 
-def _collapse_path(model, amp0, n_batch, dws, dt, stops):
-    """Yield (step, psi up to normalization) for each step in ``stops``.
-
-    Y_0 = 0 takes Euler-Maruyama steps dY = dW + 2 sqrt(lam) <A>_t dt, the
-    iterator ``dws`` giving each step's dW of shape (n_batch, nc), with
-    <A>_t weighted by |psi_t|^2 = |psi_0|^2
-    exp(2 sqrt(lam) A.Y - 2 lam A^2 t).  Entries where psi_0 = 0 drop out and
-    the log-weights are shifted by their maximum: no 0/0, no overflow.
-    """
-    nc = model.n_channels
-    lam = model.effective_coupling
-    root_lam = np.sqrt(lam)
-    flat = amp0.reshape(-1)
-    prob = flat.real ** 2 + flat.imag ** 2
-    on = prob > 0
-    unit = flat[on] / np.sqrt(prob[on])
-    h = np.broadcast_to(model.hamiltonian, amp0.shape).reshape(-1)[on]
-    channels = model.channels
-    a1 = np.vstack([channels.reshape(nc, -1)[:, on],
-                    np.ones(unit.size)])                 # rows [A_i; 1]
-    basis = np.vstack([a1[:nc], np.sum(channels ** 2, axis=0).reshape(-1)[on],
-                       np.log(prob[on])]).T              # (support, nc + 2)
-    coef = np.zeros((nc + 2, n_batch))                   # [2 sqrt(lam) Y; t; 1]
-    coef[-1] = 1.0
-    for k in range(max(stops, default=0) + 1):
-        if k > 0:
-            np.exp(log_w, out=log_w)
-            m = a1 @ log_w                               # [sum w A_i; sum w]
-            coef[:nc] += 2.0 * root_lam * (next(dws).T
-                                           + 2.0 * root_lam * dt * m[:nc] / m[nc])
-        coef[-2] = -2.0 * lam * k * dt
-        log_w = basis @ coef                             # (support, B)
-        log_w -= log_w.max(axis=0)
-        if k in stops:
-            amp = np.zeros((n_batch, flat.size), dtype=complex)
-            amp[:, on] = unit * np.exp(0.5 * log_w.T - 1j * k * dt * h)
-            yield k, amp.reshape((-1,) + amp0.shape)
+def _mass_squares(model):
+    """sum_i A_i^2 = s(x) r_mu^2, shape (n_points, 2)."""
+    return np.multiply.outer(model.profile_square_sum(), model.mass_ratio ** 2)
 
 
 def _em_linear(amp, model, dW, dt):
     """One Euler-Maruyama step of the linear SDE (batched)."""
     h = model.hamiltonian
     lam = model.effective_coupling
-    s2 = np.multiply.outer(model.profile_square_sum(), model.mass_ratio ** 2)
-    return amp * (1.0 - 1j * h * dt - 0.5 * lam * s2 * dt
+    return amp * (1.0 - 1j * h * dt - 0.5 * lam * _mass_squares(model) * dt
                   + 1j * np.sqrt(lam) * model.field(dW))
 
 
-def step_ito_nonlinear(state, model, dW, dt):
-    """Single step of the nonlinear (collapse) SDE on its driving process.
+def _collapse_states(model, amp0, y, times):
+    """psi_0 exp(-iHt + sqrt(lam) A.Y_t - lam A^2 t) up to normalization: one
+    (B, n, 2) batch per time t, for Y_t of shape (B, nc) from ``y``.
 
-    psi <- psi exp(-iH dt + sqrt(lam) A dY - lam A^2 dt), normalized, with
-    dY = dW + 2 sqrt(lam) <A>_psi dt: the one-step form of ``run_ensemble``'s
-    scheme, so iterating it reproduces one trajectory.  Never raises
-    NormDivergenceError.
+    The real log-weights are shifted by their maximum over the entries
+    where psi_0 != 0, and the others stay exactly 0: no 0/0, no overflow.
+    """
+    nc = model.n_channels
+    root_lam = np.sqrt(model.effective_coupling)
+    flat = amp0.reshape(-1)
+    prob = flat.real ** 2 + flat.imag ** 2
+    on = prob > 0
+    unit = flat[on] / np.sqrt(prob[on])
+    h = np.broadcast_to(model.hamiltonian, amp0.shape).reshape(-1)[on]
+    basis = np.vstack([model.channels.reshape(nc, -1)[:, on],
+                       _mass_squares(model).reshape(-1)[on],
+                       np.log(prob[on])]).T              # (support, nc + 2)
+    for t, y_t in zip(times, y):
+        coef = np.ones((nc + 2, len(y_t)))               # [2 sqrt(lam) Y; -2 lam t; 1]
+        coef[:nc] = 2.0 * root_lam * y_t.T
+        coef[nc] = -2.0 * root_lam ** 2 * t
+        log_w = basis @ coef                             # (support, B)
+        log_w -= log_w.max(axis=0)
+        amp = np.zeros((len(y_t), flat.size), dtype=complex)
+        amp[:, on] = unit * np.exp(0.5 * log_w.T - 1j * t * h)
+        yield amp.reshape((-1,) + amp0.shape)
+
+
+def step_ito_nonlinear(state, model, dW, dt):
+    """Single step of the nonlinear (collapse) SDE, normalized:
+    psi exp(-iH dt + sqrt(lam) A.dY - lam A^2 dt) with dY = dW + 2 sqrt(lam)
+    <A>_psi dt.  Never raises NormDivergenceError; ``run_ensemble`` samples
+    the exact law at any t instead.
     """
     state.validate(tol=0.05)
-    dw = np.asarray(dW, dtype=float).reshape(1, -1)
-    (_, amp), = _collapse_path(model, state.amplitudes, 1, iter([dw]), dt, {1})
+    prob = np.abs(state.amplitudes) ** 2
+    mean_a = np.einsum("inm,nm->i", model.channels, prob) / prob.sum()
+    dy = (np.asarray(dW, dtype=float)
+          + 2.0 * np.sqrt(model.effective_coupling) * dt * mean_a)
+    amp, = _collapse_states(model, state.amplitudes, dy.reshape(1, 1, -1), [dt])
     return GridState(amp[0], state.grid).normalized()
 
 
@@ -267,50 +258,40 @@ def _mean_stderr(moments):
     return mean, np.sqrt(var / n), var
 
 
-def _increments(rngs, n_steps, nc, dt):
-    """The next ``n_steps`` increments of each Philox stream, (B, n_steps, nc)."""
-    dw = np.empty((len(rngs), n_steps, nc))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=dw[j])
-    dw *= np.sqrt(dt)
-    return dw
-
-
 def _sample_slots(sample_steps):
     """Sample step -> every output slot it fills (a time may repeat)."""
     steps = np.asarray(sample_steps)
     return {int(s): np.flatnonzero(steps == s) for s in np.unique(steps)}
 
 
-def _nonlinear_path(model, spec, amp0, n_steps, stops, rngs):
-    """Collapse SDE on its driving process: one real per channel and trajectory.
-
-    Increments are drawn _BLOCK_STEPS steps at a time; consecutive draws
-    from one Philox stream equal one large draw bit for bit.
-    """
-    blocks = (_increments(rngs, min(_BLOCK_STEPS, n_steps - start),
-                          model.n_channels, spec.dt)
-              for start in range(0, n_steps, _BLOCK_STEPS))
-    dws = (block[:, j] for block in blocks for j in range(block.shape[1]))
-    return _collapse_path(model, amp0, len(rngs), dws, spec.dt, stops)
-
-
 def _exact_path(model, spec, amp0, n_steps, stops, rngs):
-    """Linear kinds and Wong-Zakai, solved pathwise at the sample steps only.
+    """Every kind, solved pathwise at the sample steps only.
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
     and the Stratonovich form alike, and for the mollified-noise ODE with W
     replaced by W^eps, since H and every A_i are diagonal and commute.  The
-    linear kinds draw W(t_s) - W(t_{s-1}) ~ N(0, (t_s - t_{s-1}) I) directly,
-    one normal per channel and segment between sample steps, so their
-    result does not depend on dt.  Wong-Zakai draws the base-step
+    linear and collapse kinds draw W(t_s) - W(t_{s-1}) ~ N(0, (t_s - t_{s-1}) I)
+    directly, one normal per channel and segment between sample steps, so
+    their result does not depend on dt.  Wong-Zakai draws the base-step
     increments a stepping scheme would and maps them to every sample step
     with one weight matrix from ``window_integrals``, W^eps(t) = sum_k dW_k
     [F(t - t_k) - F(-t_k)], F the mollifier's CDF and t_k the midpoint of
     base step k.
+
+    The collapse kind first draws one uniform, which picks xi by inverse
+    CDF from the cumulative |psi_0|^2 over the entries where psi_0 != 0.
+    Y_t = W_t + 2 sqrt(lam) A(xi) t then has the density sum_xi p_0(xi)
+    exp(2 sqrt(lam) A(xi).Y_t - 2 lam A(xi)^2 t) against Wiener measure: the
+    collapse measure, drawn directly, with no weights and no time steps.
     """
     nc, dt = model.n_channels, spec.dt
     order = sorted(stops)
+    if spec.kind == "ito-nonlinear":
+        prob = (amp0.real ** 2 + amp0.imag ** 2).reshape(-1)
+        on = np.flatnonzero(prob)
+        cum = np.cumsum(prob[on])
+        u = np.array([rng.random() for rng in rngs])
+        pick = on[np.searchsorted(cum, u * cum[-1], side="right")]
     if spec.kind == "wong-zakai":
         t_mid, weights = window_integrals(spec.mollifier, dt * np.array(order),
                                           n_steps * dt, dt)
@@ -321,26 +302,28 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         w = np.cumsum(np.stack([_normal(rng, seg_sd, (len(order), nc))
                                 for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
     root_lam = np.sqrt(model.effective_coupling)
+    if spec.kind == "ito-nonlinear":
+        times = dt * np.array(order)
+        a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
+        y = w + 2.0 * root_lam * times[:, None, None] * a_xi
+        yield from zip(order, _collapse_states(model, amp0, y, times))
+        return
     for stop, w_t in zip(order, w):
         phase = root_lam * model.field(w_t) - model.hamiltonian * (stop * dt)
         yield stop, amp0 * np.exp(1j * phase)
 
 
-_PATHS = {"ito-nonlinear": _nonlinear_path, "ito-linear": _exact_path,
-          "stratonovich": _exact_path, "wong-zakai": _exact_path}
-
-
 def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices):
     """(n, mean, M2) of one batch's observables, (T, 4) each, at the sample steps.
 
-    The kind's path generator yields (step, psi batch) at each sample step
-    from the trajectories' own Philox streams.
+    ``_exact_path`` yields (step, psi batch) at each sample step from the
+    trajectories' own Philox streams.
     """
     mean = np.zeros((len(sample_steps), 4))
     m2 = np.zeros_like(mean)
     slots = _sample_slots(sample_steps)
     rngs = [path_generator(seed, traj) for traj in indices]
-    for k, amp in _PATHS[spec.kind](model, spec, amp0, n_steps, slots, rngs):
+    for k, amp in _exact_path(model, spec, amp0, n_steps, slots, rngs):
         _, mean[slots[k]], m2[slots[k]] = _moments(_observables(amp, model.grid.spacing))
     return len(indices), mean, m2
 
@@ -369,9 +352,10 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     noise streams are derived from (seed, trajectory index) with a
     counter-based generator, and the chunks' moments are merged in fixed
     chunk order, so the result is bit-reproducible and independent of the
-    worker count, ``resolve_workers(n_workers)``.  The chunk size comes from
-    the caller's model; the chunks then run on ``model.reduced()`` and draw
-    r <= n_channels normals per step, of the same law.
+    worker count, ``resolve_workers(n_workers)``.  The chunks run on
+    ``model.reduced()`` and draw r <= n_channels normals per sample segment
+    (per base step for Wong-Zakai), of the same law; the chunk size comes
+    from those draws and the amplitude row, not from dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -391,13 +375,18 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     if np.any((sample_steps < 0) | (sample_steps > n_steps)):
         raise ParameterError("sample times must lie in [0, t_max]")
 
-    if batch_size is None:
-        per_traj = n_steps * model.n_channels * 8
-        # fixes the chunk boundaries and so the reduction order; every kind
-        # holds less noise at a time than a full (batch, n_steps, nc) array
-        batch_size = int(np.clip(MAX_NOISE_BYTES // max(per_traj, 1), 1, 2500))
-    edges = list(range(0, n_traj, batch_size)) + [n_traj]
     model = model.reduced()
+    if batch_size is None:
+        # what one trajectory draws and holds fixes the chunk boundaries, and
+        # so the reduction order: r normals per sample segment (per base step
+        # for Wong-Zakai) and one complex amplitude row
+        if spec.kind == "wong-zakai":
+            n_draws = increment_count(spec.mollifier, n_steps * spec.dt, spec.dt)
+        else:
+            n_draws = np.unique(sample_steps).size
+        per_traj = 8 * n_draws * model.n_channels + 16 * initial.amplitudes.size
+        batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
+    edges = list(range(0, n_traj, batch_size)) + [n_traj]
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
               int(seed), range(a, b))
              for a, b in zip(edges[:-1], edges[1:])]

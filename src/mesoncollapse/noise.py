@@ -231,11 +231,10 @@ def _merged_breakpoints(values, lo, hi):
     return [lo] + vals + [hi]
 
 
-def window_integrals(m, times, t_end, h):
-    """Increment midpoints t_k and the kernel's exact window integrals w.
+def increment_count(m, t_end, h):
+    """How many increments of step ``h`` cover every u with delta_eps(s - u) != 0
+    for some s in [0, t_end].
 
-    t_k steps by ``h`` over every u with delta_eps(s - u) != 0 for some s in
-    [0, t_end]; w[j, k] = F(t_j - t_k) - F(-t_k) = int_0^{t_j} delta_eps(s - t_k) ds.
     Raises ParameterError if one channel's increments exceed MAX_NOISE_BYTES.
     """
     lo, hi = m.support()
@@ -244,8 +243,17 @@ def window_integrals(m, times, t_end, h):
         raise ParameterError(
             "a noise path over %g at step %g needs more than %d increments"
             % (span, h, MAX_NOISE_BYTES // 8))
-    n = int(np.ceil(span / h))
-    t_mid = -hi + (np.arange(n) + 0.5) * h
+    return int(np.ceil(span / h))
+
+
+def window_integrals(m, times, t_end, h):
+    """Increment midpoints t_k and the kernel's exact window integrals w.
+
+    t_k steps by ``h`` over the ``increment_count`` increments; w[j, k] =
+    F(t_j - t_k) - F(-t_k) = int_0^{t_j} delta_eps(s - t_k) ds.
+    """
+    n = increment_count(m, t_end, h)
+    t_mid = -m.support()[1] + (np.arange(n) + 0.5) * h
     times = np.asarray(times, dtype=float)
     return t_mid, m.cdf(times[:, None] - t_mid) - m.cdf(-t_mid)
 

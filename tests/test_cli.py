@@ -274,6 +274,8 @@ class TestExitCodes:
          "--ntraj", "4", "--grid-points", "32"],
         ["exact", "--tmax", "1e308", "--samples", "2"],
         ["exact", "--samples", "4611686018427387904"],
+        ["ensemble", "--integrator", "ito-nonlinear", "--tmax", "1", "--dt",
+         "1e-12", "--samples", "1", "--ntraj", "1", "--grid-points", "32"],
     ])
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
@@ -284,8 +286,9 @@ class TestExitCodes:
         assert "Warning" not in err
         if code == 0:
             assert "nan" not in out.lower()
-        if "ito-linear" in args:
-            # W is drawn only at the sample times, so 1e12 steps cost nothing
+        if "1e-12" in args:
+            # xi and W are drawn only at the sample times, so 1e12 steps
+            # cost nothing, for the linear and the collapse kind alike
             rows = [line.split(",") for line in out.splitlines()
                     if line and not line.startswith("#")][1:]
             assert code == 0 and len(rows) == 1
@@ -383,13 +386,14 @@ _LOADED_SCRIPT = (
     "      file=sys.stderr)\n"
     "sys.exit(code)\n")
 
-# CSL on 96 channels: 2000 steps x 96 channels x 8 bytes gives batches of
-# 43 trajectories, so 50 trajectories run as two chunks
+# CSL on 96 points: 4 sample segments x 34 reduced channels of normals and
+# one 96 x 2 complex amplitude row fit the noise cap 2500 times over, the
+# largest chunk, so 2600 trajectories run as two chunks
 _TWO_CHUNK_COMPARE = [
     "compare", "--model", "csl", "--gamma", "0.3", "--rc", "1.0",
     "--grid-points", "96", "--grid-extent", "16",
     "--integrator", "stratonovich", "--tmax", "2", "--dt", "0.001",
-    "--samples", "4", "--ntraj", "50", "--seed", "3"]
+    "--samples", "4", "--ntraj", "2600", "--seed", "3"]
 
 
 class TestStartup:

@@ -16,10 +16,9 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
 from mesoncollapse import integrators
-from mesoncollapse.integrators import (_BLOCK_STEPS, _increments,
-                                       _merge_moments, _moments)
-from mesoncollapse.noise import (MAX_NOISE_BYTES, MollifiedNoise, NoisePath,
-                                 _normal, path_generator)
+from mesoncollapse.integrators import _merge_moments, _moments
+from mesoncollapse.noise import (MollifiedNoise, NoisePath, _normal,
+                                 path_generator)
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -267,22 +266,75 @@ class TestWongZakai:
 class TestRunEnsemble:
 
     def test_single_trajectory_equals_direct_run(self):
-        """Also across increment blocks: 600 steps span three blocks and
-        are not a multiple of the block size."""
+        """One collapse trajectory is psi_0 exp(-iHt + sqrt(lam) A Y_t -
+        lam A^2 t), normalized, with Y_t = W_t + 2 sqrt(lam) A(xi) t rebuilt
+        from the trajectory's own noise stream: first one uniform, which
+        picks xi from the cumulative |psi_0|^2, then one normal per channel
+        for each of the segments of 20 and 30 steps."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
-        dt = 0.01
-        assert 600 > 2 * _BLOCK_STEPS and 600 % _BLOCK_STEPS
-        for n_steps in (50, 600):
-            spec = IntegratorSpec("ito-nonlinear", dt)
-            res = run_ensemble(model, spec, state0, n_steps * dt, 1, seed=21,
-                               sample_times=np.array([n_steps * dt]))
-            rng = path_generator(21, 0)
-            dw = rng.normal(0.0, np.sqrt(dt), size=(n_steps, model.n_channels))
-            state = state0
-            for k in range(n_steps):
-                state = step_ito_nonlinear(state, model, dw[k], dt)
-            assert res.flavor_mean[0, 0] == pytest.approx(
-                state.flavor_probability("M0"), abs=1e-12)
+        dt, times = 0.01, np.array([0.2, 0.5])
+        spec = IntegratorSpec("ito-nonlinear", dt)
+        res = run_ensemble(model, spec, state0, 0.5, 1, seed=21,
+                           sample_times=times)
+        path = dict(integrators._exact_path(model, spec, state0.amplitudes, 50,
+                                            {20, 50}, [path_generator(21, 0)]))
+        rng = path_generator(21, 0)
+        cum = np.cumsum(np.abs(state0.amplitudes.reshape(-1)) ** 2)
+        xi = np.flatnonzero(cum > rng.random() * cum[-1])[0]
+        a = model.channels
+        a_xi = a.reshape(model.n_channels, -1)[:, xi]
+        z = rng.standard_normal((2, model.n_channels))
+        w = np.cumsum(z * np.sqrt(dt * np.array([20, 30]))[:, None], axis=0)
+        for k, t in enumerate(times):
+            y_t = w[k] + 2.0 * np.sqrt(0.3) * a_xi * t
+            exact = GridState(state0.amplitudes * np.exp(
+                -1j * model.hamiltonian * t
+                + np.sqrt(0.3) * np.einsum("i,inm->nm", y_t, a)
+                - 0.3 * np.sum(a ** 2, axis=0) * t), grid).normalized()
+            amp = GridState(path[int(round(t / dt))][0], grid).normalized()
+            assert np.max(np.abs(amp.amplitudes - exact.amplitudes)) < 1e-12
+            assert res.flavor_mean[k, 0] == pytest.approx(
+                exact.flavor_probability("M0"), abs=1e-12)
+
+    def test_collapse_independent_of_dt(self):
+        """xi and W are drawn only at the sample times, so the step size
+        drops out: at dt = 1e-9 a segment spans 3e8 steps and still costs
+        one normal per channel."""
+        params, _, model, state0 = qmupl_setup(lam=0.3)
+        times = np.array([0.2, 0.5])
+        runs = [run_ensemble(model, IntegratorSpec("ito-nonlinear", dt), state0,
+                             0.5, 20, seed=6, sample_times=times, n_workers=1)
+                for dt in (1e-2, 1e-4, 1e-9)]
+        for run in runs[1:]:
+            for name in ("flavor_mean", "mass_mean"):
+                assert np.max(np.abs(getattr(run, name)
+                                     - getattr(runs[0], name))) < 1e-12
+
+    def test_long_time_projection_limit(self):
+        """At lam t = 2e4 every trajectory has collapsed onto one level set
+        of A on the grid; with mH = 1.5 and mL = 0.5, (x, H) and (3x, L)
+        share a level, and P(M0) is 1/2 on every such state.  Which level
+        set is the Born rule over xi: P(H) has mean 1/2 and variance
+        sum_l p_l q_l^2 - (sum_l p_l q_l)^2, q_l the H share of level l."""
+        params, _, model, state0 = qmupl_setup(lam=0.2)
+        t, n = 1e5, 1000
+        res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.01), state0,
+                           t, n, seed=5, sample_times=[t])
+        assert np.all(np.abs(res.flavor_mean - 0.5) < 1e-12)
+        assert np.all(res.flavor_stderr < 1e-12)
+        assert abs(res.mass_mean[0, 0] - 0.5) < 3.0 * res.mass_stderr[0, 0]
+        prob = np.abs(state0.amplitudes) ** 2
+        prob /= prob.sum()
+        level = np.unique(model.channels[0], return_inverse=True)[1].ravel()
+        p = np.bincount(level, prob.ravel())
+        q = np.bincount(level, (prob * [1.0, 0.0]).ravel())[p > 0] / p[p > 0]
+        p = p[p > 0]
+        mean = np.sum(p * q)
+        var = np.sum(p * q ** 2) - mean ** 2
+        # sampling sd of a variance estimate: sqrt((mu_4 - var^2) / n)
+        sd = np.sqrt((np.sum(p * (q - mean) ** 4) - var ** 2) / n)
+        assert len(p) < prob.size and mean == pytest.approx(0.5, abs=1e-12)
+        assert abs(res.mass_var[0, 0] - var) < 3.0 * sd
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_equal_pathwise_exact_solution(self, kind):
@@ -394,10 +446,6 @@ class TestRunEnsemble:
         sd = np.sqrt(dt)
         assert np.array_equal(_normal(path_generator(4, 9), sd, (300, 5)),
                               path_generator(4, 9).normal(0.0, sd, size=(300, 5)))
-        rngs = [path_generator(4, j) for j in range(3)]
-        expected = np.stack([path_generator(4, j).normal(0.0, sd, size=(70, 5))
-                             for j in range(3)])
-        assert np.array_equal(_increments(rngs, 70, 5, dt), expected)
 
     def test_mean_matches_closed_form(self):
         """lam alpha dm^2/(2 m0^2) = 0.1, t = pi/dm: ensemble mean equals
@@ -515,14 +563,18 @@ class TestReducedNoise:
         grid = Grid.centered(32, 8.0)
         return build_csl(params, grid), make_gaussian_state(params, grid, "M0")
 
-    def test_default_chunks_come_from_the_callers_model(self, monkeypatch):
-        """13000 steps x 32 channels: 20 trajectories per chunk under the
-        noise cap; the reduced model's 18 channels would give 35."""
+    def test_default_chunks_come_from_the_draws(self, monkeypatch):
+        """A chunk is sized by what its trajectories draw and hold: r normals
+        per sample segment on the reduced model (18 of 32 channels) and one
+        complex amplitude row, whatever dt.  With the noise cap at 20 such
+        trajectories, 45 run in chunks of 20, 20 and 5 at dt = 1e-3 and 1e-7
+        alike; the caller's 32 channels would give 17 per chunk."""
         model, state0 = self.csl_setup()
         reduced = model.reduced()
-        n_steps = 13000
-        assert MAX_NOISE_BYTES // (n_steps * model.n_channels * 8) == 20
-        assert MAX_NOISE_BYTES // (n_steps * reduced.n_channels * 8) == 35
+        row = 16 * state0.amplitudes.size
+        cap = 20 * (8 * 2 * reduced.n_channels + row)
+        assert cap // (8 * 2 * model.n_channels + row) == 17
+        monkeypatch.setattr(integrators, "MAX_NOISE_BYTES", cap)
         chunks = []
         run_chunk = integrators._run_chunk
 
@@ -533,14 +585,17 @@ class TestReducedNoise:
                              indices)
 
         monkeypatch.setattr(integrators, "_run_chunk", recording_run_chunk)
-        kwargs = dict(t_max=n_steps * 0.001, n_traj=45, seed=9, n_samples=2)
-        spec = IntegratorSpec("stratonovich", 0.001)
-        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
-        assert chunks == [(reduced.n_channels, range(0, 20)),
-                          (reduced.n_channels, range(20, 40)),
-                          (reduced.n_channels, range(40, 45))]
-        monkeypatch.undo()
-        b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
+        kwargs = dict(t_max=13.0, n_traj=45, seed=9, n_samples=2)
+        for dt in (1e-3, 1e-7):
+            chunks.clear()
+            a = run_ensemble(model, IntegratorSpec("stratonovich", dt), state0,
+                             n_workers=1, **kwargs)
+            assert chunks == [(reduced.n_channels, range(0, 20)),
+                              (reduced.n_channels, range(20, 40)),
+                              (reduced.n_channels, range(40, 45))]
+        monkeypatch.setattr(integrators, "_run_chunk", run_chunk)
+        b = run_ensemble(model, IntegratorSpec("stratonovich", 1e-7), state0,
+                         n_workers=2, **kwargs)
         for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
