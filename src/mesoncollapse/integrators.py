@@ -15,8 +15,9 @@ whose driving process Y is, by the linear/nonlinear correspondence (Bassi,
 J. Phys. A 38, 3173 (2005)), a Brownian motion with one random drift,
 Y_t = W_t + 2 sqrt(lam) A(xi) t, xi = (x, mu) drawn from |psi_0|^2
 (Hughston, Proc. R. Soc. A 452, 953 (1996)).  ``run_ensemble`` evaluates
-these solutions at the sample times only, so the linear and collapse
-results do not depend on dt.  The one-step collapse formula
+these solutions at the sample times only, from Gaussian W or W^eps drawn
+there (W^eps is linear in the Wiener increments), so the linear and
+collapse results do not depend on dt.  The one-step collapse formula
 ``step_ito_nonlinear``, ``step_ito_linear`` (Euler-Maruyama, norm-checked),
 ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
 mollified-noise ODE) remain as references.  Reductions run in fixed chunk
@@ -42,7 +43,7 @@ from .core import (GridState, NormDivergenceError, ParameterError,
                    flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
-                    _normal, increment_count, path_generator, window_integrals)
+                    _normal, gaussian_factor, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
@@ -272,11 +273,13 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
     replaced by W^eps, since H and every A_i are diagonal and commute.  The
     linear and collapse kinds draw W(t_s) - W(t_{s-1}) ~ N(0, (t_s - t_{s-1}) I)
     directly, one normal per channel and segment between sample steps, so
-    their result does not depend on dt.  Wong-Zakai draws the base-step
-    increments a stepping scheme would and maps them to every sample step
-    with one weight matrix from ``window_integrals``, W^eps(t) = sum_k dW_k
+    their result does not depend on dt.  Wong-Zakai's W^eps(t) = sum_k dW_k
     [F(t - t_k) - F(-t_k)], F the mollifier's CDF and t_k the midpoint of
-    base step k.
+    base step k, is linear in the base-step increments a stepping scheme
+    would draw, so W^eps at the sample steps is Gaussian with covariance
+    dt w w^T, w the weights from ``window_integrals``: each trajectory draws
+    one normal per channel and sample step and maps them through the
+    ``gaussian_factor`` L of that covariance, W^eps = L z.
 
     The collapse kind first draws one uniform, which picks xi by inverse
     CDF from the cumulative |psi_0|^2 over the entries where psi_0 != 0.
@@ -293,9 +296,10 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         u = np.array([rng.random() for rng in rngs])
         pick = on[np.searchsorted(cum, u * cum[-1], side="right")]
     if spec.kind == "wong-zakai":
-        t_mid, weights = window_integrals(spec.mollifier, dt * np.array(order),
-                                          n_steps * dt, dt)
-        w = np.stack([weights @ _normal(rng, np.sqrt(dt), (t_mid.size, nc))
+        _, weights = window_integrals(spec.mollifier, dt * np.array(order),
+                                      n_steps * dt, dt)
+        factor = gaussian_factor(weights, dt)
+        w = np.stack([factor @ rng.standard_normal((len(order), nc))
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
         seg_sd = np.sqrt(dt * np.diff([0] + order))[:, None]
@@ -353,9 +357,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     counter-based generator, and the chunks' moments are merged in fixed
     chunk order, so the result is bit-reproducible and independent of the
     worker count, ``resolve_workers(n_workers)``.  The chunks run on
-    ``model.reduced()`` and draw r <= n_channels normals per sample segment
-    (per base step for Wong-Zakai), of the same law; the chunk size comes
-    from those draws and the amplitude row, not from dt.
+    ``model.reduced()`` and draw r <= n_channels normals per sample time, of
+    the same law; the chunk size comes from those draws and the amplitude
+    row, not from dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -378,13 +382,10 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     model = model.reduced()
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
-        # so the reduction order: r normals per sample segment (per base step
-        # for Wong-Zakai) and one complex amplitude row
-        if spec.kind == "wong-zakai":
-            n_draws = increment_count(spec.mollifier, n_steps * spec.dt, spec.dt)
-        else:
-            n_draws = np.unique(sample_steps).size
-        per_traj = 8 * n_draws * model.n_channels + 16 * initial.amplitudes.size
+        # so the reduction order: r normals per sample time and one complex
+        # amplitude row
+        per_traj = (8 * np.unique(sample_steps).size * model.n_channels
+                    + 16 * initial.amplitudes.size)
         batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
     tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),

@@ -28,8 +28,9 @@ _EXP_CUT = 40.0
 # float range
 _MAX_EPS = np.finfo(float).max / (4.0 * _EXP_CUT)
 
-# bytes one array of Wiener increments may hold: bounds each draw of the
-# I(eps) Monte Carlo and fixes the ensemble chunk boundaries
+# bytes one row of per-increment weights may hold, which bounds
+# ``window_integrals``, and one ensemble chunk may draw and hold, which fixes
+# the chunk boundaries
 MAX_NOISE_BYTES = 64 * 2 ** 20
 
 # math.erf elementwise: scipy.special costs about half a second to import
@@ -231,11 +232,13 @@ def _merged_breakpoints(values, lo, hi):
     return [lo] + vals + [hi]
 
 
-def increment_count(m, t_end, h):
-    """How many increments of step ``h`` cover every u with delta_eps(s - u) != 0
-    for some s in [0, t_end].
+def window_integrals(m, times, t_end, h):
+    """Increment midpoints t_k and the kernel's exact window integrals w.
 
-    Raises ParameterError if one channel's increments exceed MAX_NOISE_BYTES.
+    t_k steps by ``h`` over every u with delta_eps(s - u) != 0 for some s in
+    [0, t_end]; w[j, k] = F(t_j - t_k) - F(-t_k) = int_0^{t_j}
+    delta_eps(s - t_k) ds.  Raises ParameterError if one channel's
+    increments would exceed MAX_NOISE_BYTES.
     """
     lo, hi = m.support()
     span = t_end - lo + hi
@@ -243,19 +246,21 @@ def increment_count(m, t_end, h):
         raise ParameterError(
             "a noise path over %g at step %g needs more than %d increments"
             % (span, h, MAX_NOISE_BYTES // 8))
-    return int(np.ceil(span / h))
-
-
-def window_integrals(m, times, t_end, h):
-    """Increment midpoints t_k and the kernel's exact window integrals w.
-
-    t_k steps by ``h`` over the ``increment_count`` increments; w[j, k] =
-    F(t_j - t_k) - F(-t_k) = int_0^{t_j} delta_eps(s - t_k) ds.
-    """
-    n = increment_count(m, t_end, h)
-    t_mid = -m.support()[1] + (np.arange(n) + 0.5) * h
+    t_mid = -hi + (np.arange(int(np.ceil(span / h))) + 0.5) * h
     times = np.asarray(times, dtype=float)
     return t_mid, m.cdf(times[:, None] - t_mid) - m.cdf(-t_mid)
+
+
+def gaussian_factor(rows, h):
+    """Square L with L L^T = h rows rows^T, the covariance of rows @ dW for
+    independent increments dW of variance h.
+
+    So L z, z standard normal, has the law of rows @ dW and costs one
+    normal per row, not one per increment.  L is the transposed R of a QR
+    of sqrt(h) rows^T, not a Cholesky of the Gram matrix, which is singular
+    at a stop t = 0 and nearly so when stops are closer than eps.
+    """
+    return np.linalg.qr(np.sqrt(h) * np.asarray(rows, dtype=float).T, mode="r").T
 
 
 def i_epsilon_quadrature(m, t):
@@ -274,35 +279,24 @@ def i_epsilon_quadrature(m, t):
                                    points, m.eps / 2.0)
 
 
-def i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=2000):
+def i_epsilon_monte_carlo(m, t, n_paths, seed):
     """Sample-average estimate of the autocorrelation integral.
 
     Returns (estimate, stderr).  Each path contributes
     Wdot(t) * int_0^t Wdot(s) ds for increments of step eps/8; both factors
     are linear in the increments (the integral exactly, through
-    ``window_integrals``), so each path costs two dot products.  At most
-    ``chunk`` paths are drawn at a time, fewer if their increments would
-    exceed MAX_NOISE_BYTES.
+    ``window_integrals``), so the pair is Gaussian with a 2 x 2 covariance
+    and each path draws two normals through its ``gaussian_factor``.
     """
     if t <= 0:
         raise ParameterError("t must be positive, got %g" % t)
     if n_paths < 100:
         raise ParameterError("n_paths must be >= 100, got %d" % n_paths)
-    if chunk < 1:
-        raise ParameterError("chunk must be >= 1, got %d" % chunk)
     h = m.eps / 8.0
     t_mid, window = window_integrals(m, [t], t, h)
-    kernels = np.stack([m.pdf(t - t_mid), window[0]], axis=1)  # (n_inc, 2)
-    chunk = min(chunk, MAX_NOISE_BYTES // (8 * t_mid.size))
-    rng = path_generator(seed)
-    vals = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        b = min(chunk, n_paths - done)
-        dw = _normal(rng, np.sqrt(h), (b, t_mid.size))
-        wdot_t, integral = (dw @ kernels).T
-        vals[done:done + b] = wdot_t * integral
-        done += b
+    factor = gaussian_factor([m.pdf(t - t_mid), window[0]], h)
+    wdot_t, integral = factor @ path_generator(seed).standard_normal((2, n_paths))
+    vals = wdot_t * integral
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
     return estimate, stderr

@@ -238,6 +238,23 @@ class TestExitCodes:
         assert all(r[-1] == "PASS" for r in rows)
         assert any("verdict = PASS" in c for c in comments)
 
+    @pytest.mark.parametrize("kind", ["ito-nonlinear", "ito-linear",
+                                      "stratonovich"])
+    def test_compare_agreeing_trajectories_pass(self, kind, tmp_path):
+        """At lam = 0 every trajectory agrees to rounding, so the stderr is
+        floored at the rounding level of a probability and a difference of
+        a few ulps passes; the printed stderr is the floored one."""
+        out = tmp_path / "cmp.csv"
+        code = run_cli(["compare", "--integrator", kind, "--ntraj", "10",
+                        "--tmax", "0.2", "--samples", "2", "--out", str(out)])
+        assert code == 0
+        _, columns, rows = read_table(out)
+        for row in rows:
+            cell = dict(zip(columns, row))
+            assert cell["verdict"] == "PASS"
+            z = ((float(cell["p_ensemble"]) - float(cell["p_exact"]))
+                 / float(cell["stderr_ensemble"]))
+            assert float(cell["z_score"]) == pytest.approx(z, rel=1e-12)
 
     def test_compare_nonlinear_coarse_dt_finite(self, tmp_path):
         """lam dt = 5: the collapse kind still runs to a verdict with

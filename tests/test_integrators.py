@@ -17,8 +17,10 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
 from mesoncollapse.core import IDX_L
 from mesoncollapse import integrators
 from mesoncollapse.integrators import _merge_moments, _moments
+from mesoncollapse.master_eq import _hl_diagonal
 from mesoncollapse.noise import (MollifiedNoise, NoisePath, _normal,
-                                 path_generator)
+                                 gaussian_factor, path_generator,
+                                 window_integrals)
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -208,29 +210,51 @@ class TestWongZakai:
                                  0.05 * np.arange(41))
 
     @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_ensemble_path_draws_through_gaussian_factor(self, kind):
+        """One run_ensemble trajectory is psi_0 exp(-iHt + i sqrt(lam)
+        field(W^eps(t))) with W^eps = L z at the sample times: z the
+        trajectory's stream (21, 0), one normal per sample time and channel,
+        and L the ``gaussian_factor`` of the window weights."""
+        params, grid, model, state0 = qmupl_setup(lam=0.3)
+        m = Mollifier(kind, 0.08)
+        dt, n_steps = m.eps / 4.0, 24
+        times = dt * np.array([12, n_steps])
+        spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
+        res = run_ensemble(model, spec, state0, times[-1], 1, seed=21,
+                           sample_times=times)
+        path = dict(integrators._exact_path(model, spec, state0.amplitudes,
+                                            n_steps, {12, n_steps},
+                                            [path_generator(21, 0)]))
+        _, weights = window_integrals(m, times, times[-1], dt)
+        z = path_generator(21, 0).standard_normal((2, model.n_channels))
+        w_eps = gaussian_factor(weights, dt) @ z
+        for k, t in enumerate(times):
+            exact = GridState(state0.amplitudes * np.exp(
+                -1j * model.hamiltonian * t
+                + 1j * np.sqrt(0.3) * model.field(w_eps[k])), grid)
+            amp = path[int(round(t / dt))][0]
+            assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
+            assert res.flavor_mean[k, 0] == pytest.approx(
+                exact.flavor_probability("M0"), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
     def test_ensemble_path_is_rk4_limit(self, kind):
-        """One run_ensemble trajectory is the exact solution that RK4 on the
-        same base increments converges to: at fourth order for the smooth
-        Gaussian kernel, at first order for the kernels with jumps."""
+        """The pathwise solution psi_0 exp(-iHt + i sqrt(lam) field(W^eps))
+        with W^eps the window weights times a path's base increments is what
+        RK4 on the same increments converges to: at fourth order for the
+        smooth Gaussian kernel, at first order for the kernels with jumps."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         m = Mollifier(kind, 0.08)
         dt, n_steps = m.eps / 4.0, 24
         t_max = n_steps * dt
-        spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
-        (_, amp), = integrators._exact_path(model, spec, state0.amplitudes,
-                                            n_steps, {n_steps},
-                                            [path_generator(21, 0)])
-        path = GridState(amp[0], grid)
-        res = run_ensemble(model, spec, state0, t_max, 1, seed=21,
-                           sample_times=[t_max])
-        assert res.flavor_mean[0, 0] == pytest.approx(
-            path.flavor_probability("M0"), abs=1e-12)
-        lo, hi = m.support()
-        n_base = int(np.ceil((t_max - lo + hi) / dt))
+        t_mid, weights = window_integrals(m, [t_max], t_max, dt)
         dw = path_generator(21, 0).normal(0.0, np.sqrt(dt),
-                                          size=(n_base, model.n_channels))
+                                          size=(t_mid.size, model.n_channels))
+        path = GridState(state0.amplitudes * np.exp(
+            -1j * model.hamiltonian * t_max
+            + 1j * np.sqrt(0.3) * model.field(weights[0] @ dw)), grid)
         noise = MollifiedNoise(base=NoisePath(21, dt, dw), mollifier=m,
-                               t_grid=None, samples=None, t0=-hi)
+                               t_grid=None, samples=None, t0=-m.support()[1])
         errs = []
         for refine in (2, 4):
             t_grid = np.linspace(0.0, t_max, refine * n_steps + 1)
@@ -261,6 +285,31 @@ class TestWongZakai:
         b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
         for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_ensemble_matches_eps_exact_curve(self):
+        """W^eps(t) is Gaussian with variance v(t) = dt sum_k w[t, k]^2 per
+        channel, so the mollified mean is the HL-diagonal master equation
+        with damping time v(t) and phase time t.  Past the kernel's support
+        t - v(t) is the Gaussian kernel's E|V - V'| = 2 eps / sqrt(pi).
+        4000 trajectories on the 96-point CSL model meet that curve within
+        4 sigma at each of 8 times to t = 2."""
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(96, 16.0)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        m = Mollifier("gaussian", 0.05)
+        dt, times = m.eps / 4.0, 0.25 * np.arange(1, 9)
+        res = run_ensemble(model, IntegratorSpec("wong-zakai", dt, mollifier=m),
+                           state0, 2.0, 4000, seed=1, sample_times=times,
+                           n_workers=1)
+        _, weights = window_integrals(m, times, 2.0, dt)
+        v = dt * np.sum(weights ** 2, axis=1)
+        assert np.allclose(times - v, 2.0 * m.eps / np.sqrt(np.pi), atol=1e-4)
+        phase, rate, z0 = _hl_diagonal(model, state0)
+        p_same = 0.5 + (np.exp(phase * times)
+                        * (np.exp(-np.multiply.outer(v, rate)) @ z0)).real
+        z = (res.flavor_mean[:, 0] - p_same) / res.flavor_stderr[:, 0]
+        assert np.max(np.abs(z)) < 4.0
 
 
 class TestRunEnsemble:

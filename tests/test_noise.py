@@ -12,8 +12,9 @@ from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, NoisePath,
                            i_epsilon_monte_carlo, i_epsilon_quadrature,
                            mollify, sample_wiener)
 from mesoncollapse.noise import (MAX_NOISE_BYTES, _merged_breakpoints,
-                                 _panel_quadrature, mollified_values,
-                                 path_generator, window_integrals)
+                                 _panel_quadrature, gaussian_factor,
+                                 mollified_values, path_generator,
+                                 window_integrals)
 
 
 def kernel_autocorrelation(m, s):
@@ -314,8 +315,10 @@ class TestIEpsilonMonteCarlo:
 
         ds = h/3 and h/9 put every kernel jump (at a half-integer multiple
         of h) at a cell midpoint, where the trapezoid stays second order.
+        The Monte Carlo draws each path's (Wdot(t), window integral) pair
+        through the ``gaussian_factor`` of the same two weight rows.
         """
-        m, t, n_paths, seed, chunk = Mollifier(kind, 0.1), 1.0, 300, 5, 128
+        m, t, n_paths, seed = Mollifier(kind, 0.1), 1.0, 300, 5
         h = m.eps / 8.0
         t_mid, window = window_integrals(m, [t], t, h)
         dw = path_generator(seed).normal(0.0, np.sqrt(h), size=(n_paths, t_mid.size))
@@ -329,26 +332,16 @@ class TestIEpsilonMonteCarlo:
             errs.append(np.max(np.abs(trap - exact)))
             assert errs[-1] < 100.0 * ds ** 2
         assert errs[1] <= errs[0] / 8.0 + 1e-13
-        wdot_t = dw @ m.pdf(t - t_mid)
-        estimate, _ = i_epsilon_monte_carlo(m, t, n_paths, seed, chunk=chunk)
-        assert abs(estimate - np.mean(wdot_t * trap)) <= \
-            np.mean(np.abs(wdot_t)) * 100.0 * ds ** 2
+        factor = gaussian_factor([m.pdf(t - t_mid), window[0]], h)
+        wdot_t, integral = factor @ path_generator(seed).standard_normal((2, n_paths))
+        estimate, _ = i_epsilon_monte_carlo(m, t, n_paths, seed)
+        assert estimate == pytest.approx(np.mean(wdot_t * integral), rel=1e-14)
 
     def test_draws_stay_within_noise_cap(self):
-        """eps = t/1000 draws its paths in chunks, not as one s-grid matrix."""
+        """eps = t/1000 draws two normals per path, not its increments."""
         _, peak = traced_peak(lambda: i_epsilon_monte_carlo(
             Mollifier("gaussian", 1e-3), 1.0, 200, seed=1))
         assert peak < 50 * 2 ** 20
-
-    def test_chunk_shrinks_to_noise_cap_without_changing_draws(self, monkeypatch):
-        m = Mollifier("gaussian", 0.01)
-        full = i_epsilon_monte_carlo(m, 1.0, 1000, seed=3)
-        n_inc = window_integrals(m, [1.0], 1.0, m.eps / 8.0)[0].size
-        monkeypatch.setattr("mesoncollapse.noise.MAX_NOISE_BYTES", 8 * n_inc * 16)
-        capped, peak = traced_peak(lambda: i_epsilon_monte_carlo(m, 1.0, 1000, seed=3))
-        assert peak < 2 ** 20     # one full draw would take 7.5 MB
-        # same draws; only the batch shape of the matrix products differs
-        assert capped == pytest.approx(full, rel=1e-12)
 
     def test_path_beyond_noise_cap_rejected(self):
         t = 1.0
@@ -356,20 +349,49 @@ class TestIEpsilonMonteCarlo:
         with pytest.raises(ParameterError):
             i_epsilon_monte_carlo(Mollifier("box", eps), t, 100, seed=1)
 
-    def test_nonpositive_chunk_rejected(self):
-        with pytest.raises(ParameterError):
-            i_epsilon_monte_carlo(Mollifier("box", 0.1), 1.0, 100, seed=1, chunk=0)
-
     def test_too_few_paths_rejected(self):
         with pytest.raises(ParameterError):
             i_epsilon_monte_carlo(Mollifier("box", 0.1), 1.0, 50, seed=1)
 
     def test_closer_to_half_at_smaller_eps(self):
-        wide, _ = i_epsilon_monte_carlo(Mollifier("box", 0.1), 1.0,
-                                        2000, seed=7)
-        narrow, _ = i_epsilon_monte_carlo(Mollifier("box", 0.001), 1.0,
-                                          2000, seed=7)
-        assert abs(narrow - 0.5) < abs(wide - 0.5) + 0.05
+        """For the asymmetric exponential kernel I(eps) = 1/2 - e^{-t/eps}/2,
+        so its gap to 1/2 is nonzero and shrinks with eps; each Monte Carlo
+        estimate lies within 5 stderr of its own quadrature value."""
+        gaps = []
+        for eps in (1.0, 0.5, 0.25):
+            m = Mollifier("asymmetric-exponential", eps)
+            quad = i_epsilon_quadrature(m, 1.0)
+            assert quad == pytest.approx(0.5 - 0.5 * math.exp(-1.0 / eps),
+                                         abs=1e-12)
+            gaps.append(0.5 - quad)
+            estimate, stderr = i_epsilon_monte_carlo(m, 1.0, 2000, seed=7)
+            assert abs(estimate - quad) < 5.0 * stderr
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+class TestGaussianFactor:
+
+    @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
+    def test_factor_reproduces_window_covariance(self, kind):
+        """L L^T = h w w^T to rounding for the window weights of a stop at
+        t = 0 (a zero row: the Gram matrix is singular and has no Cholesky
+        factor) and of stops every h at eps = 4h (nearly dependent rows);
+        L is square and finite, and its row for t = 0 is zero, so
+        W^eps(0) = 0 on every path."""
+        m = Mollifier(kind, 0.08)
+        h = m.eps / 4.0
+        for times in (np.array([0.0, 0.5, 1.0]), h * np.arange(1, 41)):
+            _, w = window_integrals(m, times, times[-1], h)
+            factor = gaussian_factor(w, h)
+            gram = h * w @ w.T
+            assert factor.shape == gram.shape
+            assert np.all(np.isfinite(factor))
+            assert np.max(np.abs(factor @ factor.T - gram)) < \
+                1e-14 * np.max(gram)
+        _, w = window_integrals(m, [0.0, 0.5], 0.5, h)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(h * w @ w.T)
+        assert np.all(gaussian_factor(w, h)[0] == 0.0)
 
 
 class TestItoIsometry:
