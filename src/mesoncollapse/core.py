@@ -54,16 +54,17 @@ class ModelParams:
             if not np.isfinite(getattr(self, name)):
                 raise ParameterError("%s must be finite, got %g"
                                      % (name, getattr(self, name)))
-        if self.m0 <= 0:
-            raise ParameterError("m0 must be positive, got %g" % self.m0)
-        if not self.mH > self.mL:
-            raise ParameterError("mH must exceed mL (mH=%g, mL=%g)" % (self.mH, self.mL))
+        if not (0 < self.mL < self.mH and np.isfinite(self.dm * self.dm)):
+            raise ParameterError("need 0 < mL < mH and a finite dm^2 (mH=%g, mL=%g)"
+                                 % (self.mH, self.mL))
         if self.lam < 0:
             raise ParameterError("lambda coupling must be >= 0, got %g" % self.lam)
         if self.gamma < 0:
             raise ParameterError("gamma coupling must be >= 0, got %g" % self.gamma)
-        if self.rC <= 0:
-            raise ParameterError("rC must be positive, got %g" % self.rC)
+        for name, v in (("m0", self.m0), ("rC", self.rC)):  # closed forms divide by v^2
+            if not (v > 0 and 0 < v * v < np.inf):
+                raise ParameterError("%s and %s^2 must be positive and finite,"
+                                     " got %g" % (name, name, v))
         if self.alpha <= 0:
             raise ParameterError("alpha must be positive, got %g" % self.alpha)
         if self.dim not in (1, 3):

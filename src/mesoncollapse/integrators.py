@@ -42,8 +42,8 @@ import numpy as np
 from .core import (GridState, NormDivergenceError, ParameterError,
                    flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
-from .noise import (MAX_NOISE_BYTES, Mollifier, UnderResolvedKernelError,
-                    _normal, gaussian_factor, path_generator, window_integrals)
+from .noise import (MAX_NOISE_BYTES, Mollifier, _normal, _require_resolved,
+                    gaussian_factor, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
@@ -82,12 +82,17 @@ def _mass_squares(model):
     return np.multiply.outer(model.profile_square_sum(), model.mass_ratio ** 2)
 
 
+def _unitary_exponent(model, t, w):
+    """i (sqrt(lam) sum_i A_i w_i - H t): psi_t / psi_0 = exp of it for
+    w = W(t) or W^eps(t), the step generator for (dt, dW), shape (..., n, 2)."""
+    return 1j * (np.sqrt(model.effective_coupling) * model.field(w)
+                 - model.hamiltonian * t)
+
+
 def _em_linear(amp, model, dW, dt):
     """One Euler-Maruyama step of the linear SDE (batched)."""
-    h = model.hamiltonian
-    lam = model.effective_coupling
-    return amp * (1.0 - 1j * h * dt - 0.5 * lam * _mass_squares(model) * dt
-                  + 1j * np.sqrt(lam) * model.field(dW))
+    drift = 0.5 * model.effective_coupling * _mass_squares(model) * dt
+    return amp * (1.0 + _unitary_exponent(model, dt, dW) - drift)
 
 
 def _collapse_states(model, amp0, y, times):
@@ -155,8 +160,7 @@ def step_stratonovich(state, model, dW, dt):
     predictor-corrector pair collapses to psi (1 + G + G^2/2).
     """
     state.validate(tol=0.05)
-    g = (-1j * model.hamiltonian * dt
-         + 1j * np.sqrt(model.effective_coupling) * model.field(dW))
+    g = _unitary_exponent(model, dt, dW)
     return GridState(state.amplitudes * (1.0 + g + 0.5 * g * g), state.grid)
 
 
@@ -182,15 +186,11 @@ def integrate_wong_zakai(state0, model, noise, t_grid):
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise ParameterError("t_grid must be uniformly spaced")
-    eps = noise.mollifier.eps
-    if dt > eps / 4.0 + 1e-12 * eps:
-        raise UnderResolvedKernelError(
-            "t_grid spacing %g exceeds eps/4 = %g" % (dt, eps / 4.0))
+    _require_resolved(noise.mollifier, dt)
     n_steps = t_grid.size - 1
     eval_times = t_grid[0] + 0.5 * dt * np.arange(2 * n_steps + 1)
     # diagonal ODE generator -iH + i sqrt(lam) sum_i A_i Wdot_i per eval time
-    gens = (-1j * model.hamiltonian + 1j * np.sqrt(model.effective_coupling)
-            * model.field(noise.value(eval_times)))      # (n_eval, n, 2)
+    gens = _unitary_exponent(model, 1.0, noise.value(eval_times))  # (n_eval, n, 2)
     amp = np.array(state0.amplitudes)
     states = [state0]
     for k in range(n_steps):
@@ -305,16 +305,14 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         seg_sd = np.sqrt(dt * np.diff([0] + order))[:, None]
         w = np.cumsum(np.stack([_normal(rng, seg_sd, (len(order), nc))
                                 for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
-    root_lam = np.sqrt(model.effective_coupling)
     if spec.kind == "ito-nonlinear":
         times = dt * np.array(order)
         a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
-        y = w + 2.0 * root_lam * times[:, None, None] * a_xi
+        y = w + 2.0 * np.sqrt(model.effective_coupling) * times[:, None, None] * a_xi
         yield from zip(order, _collapse_states(model, amp0, y, times))
         return
     for stop, w_t in zip(order, w):
-        phase = root_lam * model.field(w_t) - model.hamiltonian * (stop * dt)
-        yield stop, amp0 * np.exp(1j * phase)
+        yield stop, amp0 * np.exp(_unitary_exponent(model, stop * dt, w_t))
 
 
 def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices):
@@ -363,9 +361,8 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
-    if spec.kind == "wong-zakai" and spec.dt > spec.mollifier.eps / 4.0:
-        raise UnderResolvedKernelError(
-            "dt %g exceeds eps/4 = %g" % (spec.dt, spec.mollifier.eps / 4.0))
+    if spec.kind == "wong-zakai":
+        _require_resolved(spec.mollifier, spec.dt)
     initial.validate(tol=0.05)
     message = "t_max=%g is not an integer number of steps dt=%g" % (t_max, spec.dt)
     n_steps = int(integer_steps(t_max, spec.dt, t_max, message))

@@ -2,10 +2,11 @@
 
 Every generator in both models is diagonal in the position (x) mass basis,
 so each (mu, nu, x, y) entry of the density matrix evolves by a closed
-scalar exponential: a phase -i(m_mu - m_nu) plus a nonnegative damping
-rate.  The exact evolvers and the step-wise numeric evolver are therefore
-independent routes to the same answer, and both serve as oracles for the
-Monte Carlo unravelings.
+scalar exponential: a phase -i(m_mu - m_nu) plus a damping rate built from
+a Gram matrix K by one formula, ``_rates``, and applied by one propagator,
+``_evolve`` (a Taylor polynomial of exp for the Dyson series).  The closed
+forms stay independent references for the grid ME and the Monte Carlo
+unravelings through their own K: the continuum x y or g*g(x - y), not G^T G.
 """
 
 from dataclasses import dataclass
@@ -73,20 +74,24 @@ class SuperoperatorKernel:
         return cls(hamiltonian=model.hamiltonian, rate=decoherence_rates(model))
 
 
+def _rates(r, coupling, gram):
+    """rate[mu, nu, x, y] = (coupling/2) [r_mu^2 K(x,x) + r_nu^2 K(y,y)
+    - 2 r_mu r_nu K(x,y)] for mass ratios r and K = ``gram``, (2, 2, n, n)."""
+    rs = np.multiply.outer(r ** 2, np.diagonal(gram))     # r_mu^2 K(x,x), (2, n)
+    rate = (rs[:, None, :, None] + rs[None, :, None, :]
+            - 2.0 * np.multiply.outer(np.outer(r, r), gram))
+    return 0.5 * coupling * rate
+
+
 def decoherence_rates(model):
     """Damping rate of each density entry, shape (2, 2, n, n).
 
-    rate[mu, nu, x, y] = (coupling/2) sum_i (A_i(x,mu) - A_i(y,nu))^2
-        = (coupling/2) [r_mu^2 s(x) + r_nu^2 s(y) - 2 r_mu r_nu (G^T G)(x, y)]
-    with A_i = G_i r_mu, s = sum_i G_i^2 the diagonal of G^T G, and the
-    channel quadrature measure folded into the coupling.
+    rate[mu, nu, x, y] = (coupling/2) sum_i (A_i(x,mu) - A_i(y,nu))^2,
+    ``_rates`` with K = G^T G, since A_i = G_i r_mu, and the channel
+    quadrature measure folded into the coupling.
     """
-    r = model.mass_ratio
-    gram = model.profile.T @ model.profile                # (n, n)
-    rs = np.multiply.outer(r ** 2, np.diagonal(gram))     # r_mu^2 s(x), (2, n)
-    rate = (rs[:, None, :, None] + rs[None, :, None, :]
-            - 2.0 * np.multiply.outer(np.outer(r, r), gram))
-    return 0.5 * model.effective_coupling * rate
+    return _rates(model.mass_ratio, model.effective_coupling,
+                  model.profile.T @ model.profile)
 
 
 def _hl_diagonal_rate(model):
@@ -105,64 +110,51 @@ def _phase_rates(hamiltonian):
     return -1j * (h[:, None] - h[None, :])
 
 
-def _generator(hamiltonian, rate):
-    """Per-entry generator -i(m_mu - m_nu) - rate, shape (2, 2, n, n)."""
-    return _phase_rates(hamiltonian)[:, :, None, None] - rate
+def _evolve(rho0, hamiltonian, rate, t, series=np.exp):
+    """rho0 * series(-rate t) * exp(-i(m_mu - m_nu) t), entry by entry."""
+    phase = np.exp(_phase_rates(hamiltonian)[:, :, None, None] * t)
+    blocks = rho0.blocks * series(-rate * t) * phase
+    blocks.setflags(write=False)
+    return DensityBlocks(blocks, rho0.grid)
 
 
 def evolve_me_numeric(rho0, model, t, dt):
-    """Step-wise master-equation evolution of DensityBlocks.
-
-    Each entry is multiplied per step by exp(dt * (phase - rate)); the
-    per-entry generator is exact, so dt controls only the step count.
-    Trace and Hermiticity are preserved exactly.
+    """Grid master-equation evolution of DensityBlocks: ``_evolve`` with
+    ``decoherence_rates`` (K = G^T G).  The per-entry exponential is exact,
+    so dt must divide t but sets nothing else; trace and Hermiticity hold.
     """
     if dt <= 0 or t < 0:
         raise ParameterError("need t >= 0 and dt > 0 (t=%g, dt=%g)" % (t, dt))
     rho0.validate(tol=1e-8)
-    message = "t=%g is not an integer number of steps dt=%g" % (t, dt)
-    n_steps = int(integer_steps(t, dt, max(t, dt), message))
-    step = np.exp(_generator(model.hamiltonian, decoherence_rates(model)) * dt)
-    blocks = np.array(rho0.blocks)
-    for _ in range(n_steps):
-        blocks *= step
-    blocks.setflags(write=False)
-    return DensityBlocks(blocks, rho0.grid)
+    integer_steps(t, dt, max(t, dt),
+                  "t=%g is not an integer number of steps dt=%g" % (t, dt))
+    return _evolve(rho0, model.hamiltonian, decoherence_rates(model), t)
 
 
 def evolve_me_qmupl_exact(rho0, params, t):
     """Closed-form QMUPL evolution:
 
     rho^{mu nu}(x,y,t) = exp[-i(m_mu - m_nu) t
-                             - lambda |m_mu x - m_nu y|^2 t / (2 m0^2)] rho0.
+                             - lambda |m_mu x - m_nu y|^2 t / (2 m0^2)] rho0,
+    ``_rates`` with the continuum K = x y.
     """
     x = rho0.grid.points
     m = np.array([params.mH, params.mL])
-    mx = m[:, None, None, None] * x[None, None, :, None]
-    my = m[None, :, None, None] * x[None, None, None, :]
-    rate = params.lam * (mx - my) ** 2 / (2.0 * params.m0 ** 2)
-    blocks = rho0.blocks * np.exp(_generator(m, rate) * t)
-    blocks.setflags(write=False)
-    return DensityBlocks(blocks, rho0.grid)
+    rate = _rates(m / params.m0, params.lam, np.outer(x, x))
+    return _evolve(rho0, m, rate, t)
 
 
 def evolve_me_csl_exact(rho0, params, t):
     """Closed-form CSL evolution with the continuum smearing convolution.
 
     Entry rate: (gamma / 2 m0^2) [(m_mu^2 + m_nu^2) g*g(0)
-                                  - 2 m_mu m_nu g*g(x - y)].
+                                  - 2 m_mu m_nu g*g(x - y)],
+    ``_rates`` with K = g*g(x - y).
     """
     x = rho0.grid.points
     m = np.array([params.mH, params.mL])
-    gg0 = smearing_self_convolution(params, 0.0)
-    gg = smearing_self_convolution(params, x[:, None] - x[None, :])
-    msq = m[:, None] ** 2 + m[None, :] ** 2              # (2, 2)
-    mprod = m[:, None] * m[None, :]
-    rate = (params.gamma / (2.0 * params.m0 ** 2)
-            * (msq[:, :, None, None] * gg0 - 2.0 * mprod[:, :, None, None] * gg))
-    blocks = rho0.blocks * np.exp(_generator(m, rate) * t)
-    blocks.setflags(write=False)
-    return DensityBlocks(blocks, rho0.grid)
+    gram = smearing_self_convolution(params, x[:, None] - x[None, :])
+    return _evolve(rho0, m, _rates(m / params.m0, params.gamma, gram), t)
 
 
 def qmupl_flavor_probabilities(params, t):
@@ -185,7 +177,7 @@ def csl_flavor_probabilities(params, t):
     g*g(0) = (4 pi rC^2)^(-dim/2).  Independent of the spatial profile.
     """
     t = np.asarray(t, dtype=float)
-    gg0 = (4.0 * np.pi * params.rC ** 2) ** (-params.dim / 2.0)
+    gg0 = float(smearing_self_convolution(params, 0.0, params.dim))
     rate = params.gamma * params.dm ** 2 * gg0 / (2.0 * params.m0 ** 2)
     osc = np.cos(params.dm * t) * np.exp(-rate * t) / 2.0
     return 0.5 + osc, 0.5 - osc
@@ -306,8 +298,5 @@ def dyson_expand(kernel, rho0, t, order):
     the doubled-space generator acts entrywise as -rate, and the truncation
     is sum_{n<=k} (-rate * t)^n / n! followed by the free phase.
     """
-    series = _taylor_exp(-kernel.rate * t, order)       # (2, 2, n, n)
-    phase = np.exp(_phase_rates(kernel.hamiltonian)[:, :, None, None] * t)
-    blocks = rho0.blocks * series * phase
-    blocks.setflags(write=False)
-    return DensityBlocks(blocks, rho0.grid)
+    return _evolve(rho0, kernel.hamiltonian, kernel.rate, t,
+                   series=lambda x: _taylor_exp(x, order))

@@ -41,6 +41,12 @@ class UnderResolvedKernelError(ValueError):
     """The evaluation grid is too coarse to resolve the mollifier kernel."""
 
 
+def _require_resolved(m, step):
+    """Raise UnderResolvedKernelError unless step <= eps/4 (+ 1e-12 eps for rounding)."""
+    if not step <= m.eps / 4.0 + 1e-12 * m.eps:
+        raise UnderResolvedKernelError("step %g exceeds eps/4 = %g" % (step, m.eps / 4.0))
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """Seeded Wiener increments, shape (n_steps, n_channels), variance dt each."""
@@ -184,10 +190,7 @@ def mollify(path, m, t_grid, t0=0.0):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ParameterError("t_grid must be a 1-D array of at least 2 times")
-    if np.max(np.diff(t_grid)) > m.eps / 4.0 + 1e-12 * m.eps:
-        raise UnderResolvedKernelError(
-            "t_grid spacing %g exceeds eps/4 = %g"
-            % (float(np.max(np.diff(t_grid))), m.eps / 4.0))
+    _require_resolved(m, float(np.max(np.diff(t_grid))))
     samples = mollified_values(path, m, t_grid, t0=t0)
     return MollifiedNoise(base=path, mollifier=m, t_grid=t_grid,
                           samples=samples, t0=t0)

@@ -38,6 +38,22 @@ def run_cli_process(args, script=None, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# a non-positive mL, or an m0^2, rC^2 or dm^2 outside the float range:
+# config errors
+_OUT_OF_RANGE_MASSES_AND_LENGTHS = [
+    ["exact", "--dm", "1e200", "--samples", "2"],
+    ["exact", "--m0", "1e200", "--dm", "1e199", "--samples", "2"],
+    ["exact", "--model", "csl", "--gamma", "1", "--rc", "1e200"],
+    ["me", "--model", "csl", "--gamma", "1", "--rc", "1e200"],
+    ["compare", "--model", "csl", "--gamma", "1", "--rc", "1e200"],
+    ["exact", "--model", "csl", "--gamma", "1", "--rc", "1e-200"],
+    ["me", "--dm", "1e200"],
+    ["dyson", "--dm", "1e200"],
+    ["exact", "--m0", "1e-200", "--dm", "1e-201"],
+    ["exact", "--dm", "3"],
+]
+
+
 def read_table(path):
     """Parse a CSV output into (header comments, columns, rows)."""
     comments, columns, rows = [], None, []
@@ -209,6 +225,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("config error") == 2
 
+    def test_wong_zakai_dt_above_eps_over_4_is_numerical_error(self):
+        code, _, err = run_cli_process(
+            ["compare", "--integrator", "wong-zakai", "--eps", "0.04",
+             "--dt", "0.0100001", "--tmax", "0.1", "--samples", "2",
+             "--ntraj", "2", "--grid-points", "32"])
+        assert code == 1
+        assert err.count("numerical error:") == 1
+        assert "exceeds eps/4" in err and "Traceback" not in err
+
     def test_bad_worker_env_is_config_error(self, monkeypatch, tmp_path,
                                             capsys):
         monkeypatch.setenv("MESONCOLLAPSE_WORKERS", "abc")
@@ -293,12 +318,16 @@ class TestExitCodes:
         ["exact", "--samples", "4611686018427387904"],
         ["ensemble", "--integrator", "ito-nonlinear", "--tmax", "1", "--dt",
          "1e-12", "--samples", "1", "--ntraj", "1", "--grid-points", "32"],
-    ])
+        ["exact", "--model", "csl", "--gamma", "1e307", "--rc", "0.001",
+         "--samples", "2"],
+    ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS)
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
         on success."""
         code, out, err = run_cli_process(args)
         assert code in (0, 1, 2)
+        if args in _OUT_OF_RANGE_MASSES_AND_LENGTHS:
+            assert code == 2 and err.startswith("config error:")
         assert "Traceback" not in err
         assert "Warning" not in err
         if code == 0:

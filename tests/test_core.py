@@ -31,8 +31,16 @@ class TestModelParams:
         {"rC": 0.0},
         {"alpha": -2.0},
         {"dim": 2},
+        {"mH": 1.0, "mL": 0.0},
+        {"m0": 1e200},
+        {"m0": 1e-200},
+        {"rC": 1e200},
+        {"rC": 1e-200},
+        {"mH": 1e200, "mL": 0.5},
     ])
     def test_invalid_rejected(self, kwargs):
+        """A non-positive mass, an m0^2 or rC^2 that is not positive and
+        finite, or a dm^2 that overflows is a config error."""
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
 

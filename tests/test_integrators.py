@@ -265,6 +265,19 @@ class TestWongZakai:
         assert errs[0] / errs[1] > 0.8 * 2 ** order
         assert errs[1] < (1e-9 if kind == "gaussian" else 3e-3)
 
+    def test_ensemble_rejects_dt_above_eps_over_4(self):
+        """run_ensemble checks dt <= eps/4 as integrate_wong_zakai and
+        mollify do, with the same 1e-12 eps slack."""
+        _, _, model, state0 = qmupl_setup()
+        m = Mollifier("gaussian", 0.04)
+
+        def run(dt):
+            spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
+            return run_ensemble(model, spec, state0, 10 * dt, 1, seed=1, n_samples=1)
+        run(m.eps / 4.0)
+        with pytest.raises(UnderResolvedKernelError, match="eps/4"):
+            run(m.eps / 4.0 * (1.0 + 1e-9))
+
     def test_ensemble_freezes_mass_populations(self):
         params, _, model, state0 = qmupl_setup(lam=0.5)
         spec = IntegratorSpec("wong-zakai", 0.005,

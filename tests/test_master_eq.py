@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mesoncollapse import (QMUPL, DensityBlocks, Grid, GridState,
                            InvariantViolationError, ModelParams,
@@ -14,7 +14,8 @@ from mesoncollapse import (QMUPL, DensityBlocks, Grid, GridState,
                            evolve_me_qmupl_exact, flavor_record,
                            make_gaussian_state, me_envelope,
                            me_flavor_probabilities,
-                           qmupl_flavor_probabilities, transition_probability)
+                           qmupl_flavor_probabilities,
+                           smearing_self_convolution, transition_probability)
 from mesoncollapse.core import IDX_H, IDX_L
 from mesoncollapse.master_eq import _hl_diagonal_rate
 
@@ -23,6 +24,14 @@ def qmupl_setup(lam=0.2, alpha=1.0, n=64, extent=16.0, dim=1):
     params = ModelParams(lam=lam, alpha=alpha, dim=dim)
     grid = Grid.centered(n, extent)
     model = build_qmupl(params, grid)
+    rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
+    return params, grid, model, rho0
+
+
+def csl_setup(gamma=0.4, rC=1.0, n=64, extent=16.0):
+    params = ModelParams(gamma=gamma, rC=rC)
+    grid = Grid.centered(n, extent)
+    model = build_csl(params, grid)
     rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
     return params, grid, model, rho0
 
@@ -75,20 +84,57 @@ class TestNumericVsExact:
                            match="is not an integer number of steps"):
             evolve_me_numeric(rho0, model, t=t, dt=dt)
 
+    @staticmethod
+    def _entrywise(rho0, params, t, rate):
+        """rho0 exp(-i(m_mu - m_nu) t - rate t) for a (2, 2, n, n) rate."""
+        m = np.array([params.mH, params.mL])
+        phase = -1j * (m[:, None] - m[None, :])[:, :, None, None]
+        return rho0.blocks * np.exp((phase - rate) * t)
+
     def test_qmupl_exact_rates(self):
-        """mu=nu at x=y undamped; mu=nu at x != y damped spatially."""
+        """Every entry decays at lam (m_mu x - m_nu y)^2 / (2 m0^2): mu=nu
+        at x=y undamped, damped spatially elsewhere."""
         params, grid, _, rho0 = qmupl_setup(lam=0.5)
         t = 0.8
         rho = evolve_me_qmupl_exact(rho0, params, t)
         k = grid.n_points // 2
         assert abs(rho.blocks[IDX_H, IDX_H, k, k]) == pytest.approx(
             abs(rho0.blocks[IDX_H, IDX_H, k, k]), rel=1e-12)
-        x, y = grid.points[k], grid.points[k + 4]
-        expected = np.exp(-params.lam * params.mH ** 2 * (x - y) ** 2 * t
-                          / (2.0 * params.m0 ** 2))
-        ratio = abs(rho.blocks[IDX_H, IDX_H, k, k + 4]
-                    / rho0.blocks[IDX_H, IDX_H, k, k + 4])
-        assert ratio == pytest.approx(expected, rel=1e-10)
+        x = grid.points
+        m = np.array([params.mH, params.mL])
+        mx = m[:, None, None, None] * x[None, None, :, None]
+        my = m[None, :, None, None] * x[None, None, None, :]
+        rate = params.lam * (mx - my) ** 2 / (2.0 * params.m0 ** 2)
+        np.testing.assert_allclose(rho.blocks,
+                                   self._entrywise(rho0, params, t, rate),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_csl_exact_rates(self):
+        """Every entry decays at (gamma / 2 m0^2) [(m_mu^2 + m_nu^2) g*g(0)
+        - 2 m_mu m_nu g*g(x - y)]."""
+        params = ModelParams(gamma=0.4, rC=0.5)
+        grid = Grid.centered(64, 16.0)
+        rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
+        t = 0.8
+        x = grid.points
+        m = np.array([params.mH, params.mL])
+        gg0 = smearing_self_convolution(params, 0.0)
+        gg = smearing_self_convolution(params, x[:, None] - x[None, :])
+        msq = (m[:, None] ** 2 + m[None, :] ** 2)[:, :, None, None]
+        mprod = (m[:, None] * m[None, :])[:, :, None, None]
+        rate = (params.gamma / (2.0 * params.m0 ** 2)
+                * (msq * gg0 - 2.0 * mprod * gg))
+        np.testing.assert_allclose(evolve_me_csl_exact(rho0, params, t).blocks,
+                                   self._entrywise(rho0, params, t, rate),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
+    def test_numeric_does_not_depend_on_dt(self, setup):
+        """dt must divide t and sets nothing else: bit for bit."""
+        _, _, model, rho0 = setup()
+        a = evolve_me_numeric(rho0, model, t=1.5, dt=0.01)
+        b = evolve_me_numeric(rho0, model, t=1.5, dt=1.5)
+        assert np.array_equal(a.blocks, b.blocks)
 
     def test_t_zero_is_identity(self):
         params, _, _, rho0 = qmupl_setup()
@@ -183,6 +229,8 @@ class TestGridMeVsClosedForm:
            steps=st.lists(st.integers(min_value=1, max_value=400),
                           min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
+    @example(csl=True, coupling=0.5, alpha=0.4609375, r_c=1.203125, fill=1.0,
+             pad=0.1875, steps=[400])
     def test_closed_form_matches_grid_me(self, csl, coupling, alpha, r_c,
                                          fill, pad, steps):
         """flavor_record equals the grid ME on any grid that resolves the packet.
@@ -190,8 +238,9 @@ class TestGridMeVsClosedForm:
         The spacing is a ``fill`` fraction of sqrt(alpha)/4 (and of rC/4 for
         CSL); the extent is 8 sqrt(alpha) for QMUPL and, for CSL, leaves
         4 rC between the packet's 4 sqrt(alpha) edge and each grid edge,
-        both widened by ``pad``.  The ME normalizes the packet on the grid,
-        so QMUPL misses at most half the tail mass beyond 4 sqrt(alpha),
+        both widened by ``pad``.  The grid is built from the spacing itself,
+        since n * spacing / n can come out one ulp above sqrt(alpha)/4.  The
+        ME normalizes the packet on the grid, so QMUPL misses at most half the tail mass beyond 4 sqrt(alpha),
         erfc(4)/2 = 7.7e-9 (measured worst 6.5e-9).  The CSL rate is flat
         wherever the smearing fits on the grid, so only the packet's tail
         sees the edge (measured worst 2.2e-11).
@@ -207,7 +256,7 @@ class TestGridMeVsClosedForm:
             spacing = fill * root / 4.0
             extent = (1.0 + pad) * 8.0 * root
         n = int(np.ceil(extent / spacing))
-        grid = Grid.centered(n, n * spacing)
+        grid = Grid(n, spacing, -(n - 1) * spacing / 2.0)
         model = (build_csl if csl else build_qmupl)(params, grid)
         dt = 0.01
         times = dt * np.unique(steps)
@@ -217,14 +266,6 @@ class TestGridMeVsClosedForm:
         tol = 1e-10 if csl else 1e-8
         assert np.max(np.abs(me.p_same - exact.p_same)) < tol
         assert np.max(np.abs(me.p_other - exact.p_other)) < tol
-
-
-def csl_setup(gamma=0.4, rC=1.0, n=64, extent=16.0):
-    params = ModelParams(gamma=gamma, rC=rC)
-    grid = Grid.centered(n, extent)
-    model = build_csl(params, grid)
-    rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
-    return params, grid, model, rho0
 
 
 class TestGridMeDiagonal:
