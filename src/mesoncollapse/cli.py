@@ -151,7 +151,8 @@ def _sample_times(config, snap_dt=None):
                              " sample time" % (config["tmax"], config["samples"],
                                                snap_dt))
     if snap_dt is not None:
-        times = np.unique(times[times > 0])
+        # a set, not np.unique: its first call imports numpy.ma
+        times = np.array(sorted(set(times[times > 0].tolist())))
         if times.size == 0:
             raise ParameterError("tmax=%g is below one step dt=%g"
                                  % (config["tmax"], snap_dt))

@@ -260,9 +260,13 @@ def _mean_stderr(moments):
 
 
 def _sample_slots(sample_steps):
-    """Sample step -> every output slot it fills (a time may repeat)."""
+    """Sample step -> every output slot it fills (a time may repeat).
+
+    Distinct steps come from a set, not ``np.unique``, whose first call
+    imports ``numpy.ma``.
+    """
     steps = np.asarray(sample_steps)
-    return {int(s): np.flatnonzero(steps == s) for s in np.unique(steps)}
+    return {s: np.flatnonzero(steps == s) for s in sorted(set(steps.tolist()))}
 
 
 def _exact_path(model, spec, amp0, n_steps, stops, rngs):
@@ -315,15 +319,15 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         yield stop, amp0 * np.exp(_unitary_exponent(model, stop * dt, w_t))
 
 
-def _run_chunk(model, spec, amp0, n_steps, sample_steps, seed, indices):
+def _run_chunk(model, spec, amp0, n_steps, slots, seed, indices):
     """(n, mean, M2) of one batch's observables, (T, 4) each, at the sample steps.
 
-    ``_exact_path`` yields (step, psi batch) at each sample step from the
-    trajectories' own Philox streams.
+    ``slots`` maps each distinct sample step to its output rows
+    (``_sample_slots``); ``_exact_path`` yields (step, psi batch) at each of
+    them from the trajectories' own Philox streams.
     """
-    mean = np.zeros((len(sample_steps), 4))
+    mean = np.zeros((sum(map(len, slots.values())), 4))
     m2 = np.zeros_like(mean)
-    slots = _sample_slots(sample_steps)
     rngs = [path_generator(seed, traj) for traj in indices]
     for k, amp in _exact_path(model, spec, amp0, n_steps, slots, rngs):
         _, mean[slots[k]], m2[slots[k]] = _moments(_observables(amp, model.grid.spacing))
@@ -377,15 +381,16 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
         raise ParameterError("sample times must lie in [0, t_max]")
 
     model = model.reduced()
+    slots = _sample_slots(sample_steps)
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
         # so the reduction order: r normals per sample time and one complex
         # amplitude row
-        per_traj = (8 * np.unique(sample_steps).size * model.n_channels
+        per_traj = (8 * len(slots) * model.n_channels
                     + 16 * initial.amplitudes.size)
         batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
-    tasks = [(model, spec, initial.amplitudes, n_steps, tuple(sample_steps),
+    tasks = [(model, spec, initial.amplitudes, n_steps, slots,
               int(seed), range(a, b))
              for a, b in zip(edges[:-1], edges[1:])]
     workers = resolve_workers(n_workers)

@@ -38,8 +38,8 @@ def run_cli_process(args, script=None, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-# a non-positive mL, or an m0^2, rC^2 or dm^2 outside the float range:
-# config errors
+# a non-positive mL, or an m0^2, rC^2, dm^2 or CSL self-overlap g*g(0)
+# outside the float range: config errors
 _OUT_OF_RANGE_MASSES_AND_LENGTHS = [
     ["exact", "--dm", "1e200", "--samples", "2"],
     ["exact", "--m0", "1e200", "--dm", "1e199", "--samples", "2"],
@@ -51,6 +51,8 @@ _OUT_OF_RANGE_MASSES_AND_LENGTHS = [
     ["dyson", "--dm", "1e200"],
     ["exact", "--m0", "1e-200", "--dm", "1e-201"],
     ["exact", "--dm", "3"],
+    ["exact", "--model", "csl", "--gamma", "1", "--rc", "1e-150", "--dim", "3"],
+    ["me", "--model", "csl", "--gamma", "1", "--rc", "1e-150", "--dim", "3"],
 ]
 
 
@@ -454,6 +456,22 @@ class TestStartup:
         assert code == 0
         assert out.count("\n") > 2  # the CSV table was written
         assert err.strip() == "loaded: []"
+
+    @pytest.mark.parametrize("args", [
+        ["me", "--tmax", "1", "--samples", "3", "--grid-points", "64"],
+        ["ensemble", "--tmax", "0.1", "--dt", "0.01", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],
+        ["compare", "--tmax", "0.1", "--dt", "0.01", "--samples", "2",
+         "--ntraj", "4", "--grid-points", "32"],            # one chunk
+        ["dyson", "--tmax", "1", "--samples", "2"],
+        ["theta-check", "--tmax", "1", "--ntraj", "100"],
+    ], ids=lambda args: args[0])
+    def test_no_command_loads_numpy_ma(self, args):
+        """Distinct sample times and steps come from sets: ``np.unique``
+        would import numpy.ma on its first call."""
+        code, _, err = run_cli_process(["numpy.ma"] + args, _LOADED_SCRIPT)
+        assert code == 0, err
+        assert "loaded: []" in err
 
     def test_pooled_compare_matches_one_worker(self):
         """Two workers on two chunks start the pool, imported on first use,
