@@ -260,6 +260,8 @@ def run_ensemble_cmd(config):
 
 def run_dyson(config):
     params = _build_params(config)
+    if params.dim != 1:
+        raise ParameterError("the Dyson series supports dim=1 only")
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
     record = dyson_flavor_probabilities(model,

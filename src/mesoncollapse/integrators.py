@@ -22,15 +22,6 @@ collapse results do not depend on dt.  The one-step collapse formula
 ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
 mollified-noise ODE) remain as references.  Reductions run in fixed chunk
 order, so results do not depend on the worker count.
-
-The noise enters every one of these laws only through its covariance
-sum_i A_i A_i, i.e. G^T G for the profile G, and the collapse drift only
-through A(xi).A, an entry of the same matrix.  So ``run_ensemble`` runs on
-``model.reduced()``: the r <= n_channels rows S_r V_r^T of G = U S V^T with
-s_k > sqrt(eps) s_1, whose Gram matrix is G^T G to eps ||G^T G||, and the
-rotated increments U_r^T dW are again independent Wiener increments.  Each
-draw takes r normals instead of n_channels (34 of 96 on a 96-point CSL grid
-with rC = 6 grid spacings) from the same law; QMUPL (rank 1) is unchanged.
 """
 
 import functools
@@ -42,7 +33,7 @@ import numpy as np
 from .core import (GridState, NormDivergenceError, ParameterError,
                    flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
-from .noise import (MAX_NOISE_BYTES, Mollifier, _normal, _require_resolved,
+from .noise import (MAX_NOISE_BYTES, Mollifier, _require_resolved,
                     gaussian_factor, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
@@ -307,13 +298,14 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
         seg_sd = np.sqrt(dt * np.diff([0] + order))[:, None]
-        w = np.cumsum(np.stack([_normal(rng, seg_sd, (len(order), nc))
+        w = np.cumsum(np.stack([rng.normal(0.0, seg_sd, (len(order), nc))
                                 for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
     if spec.kind == "ito-nonlinear":
         times = dt * np.array(order)
         a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
-        y = w + 2.0 * np.sqrt(model.effective_coupling) * times[:, None, None] * a_xi
-        yield from zip(order, _collapse_states(model, amp0, y, times))
+        for w_t, t in zip(w, times):                              # W becomes Y
+            w_t += 2.0 * np.sqrt(model.effective_coupling) * t * a_xi
+        yield from zip(order, _collapse_states(model, amp0, w, times))
         return
     for stop, w_t in zip(order, w):
         yield stop, amp0 * np.exp(_unitary_exponent(model, stop * dt, w_t))
@@ -358,10 +350,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     noise streams are derived from (seed, trajectory index) with a
     counter-based generator, and the chunks' moments are merged in fixed
     chunk order, so the result is bit-reproducible and independent of the
-    worker count, ``resolve_workers(n_workers)``.  The chunks run on
-    ``model.reduced()`` and draw r <= n_channels normals per sample time, of
-    the same law; the chunk size comes from those draws and the amplitude
-    row, not from dt.
+    worker count, ``resolve_workers(n_workers)``.  Every chunk runs on
+    ``model`` itself; the chunk size comes from its n_channels normals per
+    sample time and the amplitude row, not from dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -380,12 +371,11 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     if np.any((sample_steps < 0) | (sample_steps > n_steps)):
         raise ParameterError("sample times must lie in [0, t_max]")
 
-    model = model.reduced()
     slots = _sample_slots(sample_steps)
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
-        # so the reduction order: r normals per sample time and one complex
-        # amplitude row
+        # so the reduction order: n_channels normals per sample time and one
+        # complex amplitude row
         per_traj = (8 * len(slots) * model.n_channels
                     + 16 * initial.amplitudes.size)
         batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))

@@ -211,11 +211,16 @@ def transition_probability(rho, out, validate=True):
 def me_flavor_probabilities(model, rho0, times, dt, dim=1):
     """Grid master-equation flavor probabilities at the sample times.
 
-    The grid is 1-D; higher dimensions factorize, so the dim-d damping
-    envelope is the 1-D envelope raised to the d-th power while the phase
-    is unchanged: p_same = 1/2 + Re(z) * (2|z|)^(d-1) with
-    z = int dx rho^HL(x,x); ``rho0`` is DensityBlocks or a pure GridState.
+    The grid is 1-D.  The QMUPL HL-diagonal rate is a sum over coordinates,
+    so in dim d its damping envelope is the 1-D envelope raised to the d-th
+    power while the phase is unchanged: p_same = 1/2 + Re(z) * (2|z|)^(d-1)
+    with z = int dx rho^HL(x,x); ``rho0`` is DensityBlocks or a pure
+    GridState.  The CSL rate is a product over coordinates, which no power
+    of the 1-D envelope gives, so dim != 1 raises ParameterError there.
     """
+    if dim != 1 and model.label != QMUPL:
+        raise ParameterError("the %s grid master equation supports dim=1 only"
+                             % model.label)
     rho0.validate(tol=1e-8)
     times, amplitudes = _interference_series(model, rho0, times, dt)
     z_re = amplitudes.real

@@ -79,13 +79,6 @@ def path_generator(seed, stream=None):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _normal(rng, sd, shape):
-    """rng.normal(0.0, sd, shape) bit for bit, scaled in place after the draw."""
-    z = rng.standard_normal(shape)
-    z *= sd
-    return z
-
-
 def sample_wiener(seed, dt, n_steps, n_channels=1):
     """Sample a NoisePath of independent Gaussian increments, variance dt."""
     if dt <= 0:
@@ -94,7 +87,7 @@ def sample_wiener(seed, dt, n_steps, n_channels=1):
         raise ParameterError("n_steps must be >= 1, got %d" % n_steps)
     if n_channels < 1:
         raise ParameterError("n_channels must be >= 1, got %d" % n_channels)
-    inc = _normal(path_generator(seed), np.sqrt(dt), (n_steps, n_channels))
+    inc = path_generator(seed).normal(0.0, np.sqrt(dt), (n_steps, n_channels))
     return NoisePath(seed=int(seed), dt=float(dt), increments=inc)
 
 

@@ -55,6 +55,15 @@ _OUT_OF_RANGE_MASSES_AND_LENGTHS = [
     ["me", "--model", "csl", "--gamma", "1", "--rc", "1e-150", "--dim", "3"],
 ]
 
+# routes whose 1-D result does not extend to dim 3: the CSL rate is a product
+# over coordinates, and a truncated series of a sum is no product of series
+_UNSUPPORTED_DIMENSIONS = [
+    ["me", "--model", "csl", "--gamma", "0.4", "--rc", "0.5", "--dim", "3",
+     "--tmax", "2", "--samples", "1", "--grid-points", "160",
+     "--grid-extent", "16"],
+    ["dyson", "--lambda", "0.2", "--dim", "3"],
+]
+
 
 def read_table(path):
     """Parse a CSV output into (header comments, columns, rows)."""
@@ -322,14 +331,15 @@ class TestExitCodes:
          "1e-12", "--samples", "1", "--ntraj", "1", "--grid-points", "32"],
         ["exact", "--model", "csl", "--gamma", "1e307", "--rc", "0.001",
          "--samples", "2"],
-    ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS)
+    ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS)
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
         on success."""
         code, out, err = run_cli_process(args)
         assert code in (0, 1, 2)
-        if args in _OUT_OF_RANGE_MASSES_AND_LENGTHS:
+        if args in _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS:
             assert code == 2 and err.startswith("config error:")
+            assert out == "" and err.count("\n") == 1
         assert "Traceback" not in err
         assert "Warning" not in err
         if code == 0:
@@ -434,9 +444,9 @@ _LOADED_SCRIPT = (
     "      file=sys.stderr)\n"
     "sys.exit(code)\n")
 
-# CSL on 96 points: 4 sample segments x 34 reduced channels of normals and
-# one 96 x 2 complex amplitude row fit the noise cap 2500 times over, the
-# largest chunk, so 2600 trajectories run as two chunks
+# CSL on 96 points: 4 sample segments x 96 channels of normals and one
+# 96 x 2 complex amplitude row fit the noise cap more than 2500 times over,
+# the largest chunk, so 2600 trajectories run as two chunks
 _TWO_CHUNK_COMPARE = [
     "compare", "--model", "csl", "--gamma", "0.3", "--rc", "1.0",
     "--grid-points", "96", "--grid-extent", "16",

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            IntegratorSpec, Mollifier, ModelParams, NormDivergenceError,
@@ -18,9 +19,8 @@ from mesoncollapse.core import IDX_L
 from mesoncollapse import integrators
 from mesoncollapse.integrators import _merge_moments, _moments
 from mesoncollapse.master_eq import _hl_diagonal
-from mesoncollapse.noise import (MollifiedNoise, NoisePath, _normal,
-                                 gaussian_factor, path_generator,
-                                 window_integrals)
+from mesoncollapse.noise import (MollifiedNoise, NoisePath, gaussian_factor,
+                                 path_generator, window_integrals)
 
 
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
@@ -502,12 +502,15 @@ class TestRunEnsemble:
             assert np.max(np.abs(mean - means[0])) < 1e-12
 
     def test_standard_normal_draws_equal_normal(self):
-        """Scaling standard normals in place is bit-identical to
-        rng.normal(0, sd) on the same Philox stream."""
-        dt = 0.003
-        sd = np.sqrt(dt)
-        assert np.array_equal(_normal(path_generator(4, 9), sd, (300, 5)),
-                              path_generator(4, 9).normal(0.0, sd, size=(300, 5)))
+        """rng.normal(0, sd), the draw of ``sample_wiener`` and of each
+        linear and collapse trajectory, is standard normals scaled by sd bit
+        for bit on one Philox stream, for a scalar and for a per-row sd."""
+        sd = np.sqrt(0.003)
+        assert np.array_equal(sample_wiener(4, 0.003, 300, 5).increments,
+                              path_generator(4).standard_normal((300, 5)) * sd)
+        row_sd = np.sqrt(0.003 * np.arange(1, 301))[:, None]
+        assert np.array_equal(path_generator(4, 9).normal(0.0, row_sd, (300, 5)),
+                              path_generator(4, 9).standard_normal((300, 5)) * row_sd)
 
     def test_mean_matches_closed_form(self):
         """lam alpha dm^2/(2 m0^2) = 0.1, t = pi/dm: ensemble mean equals
@@ -617,49 +620,62 @@ class TestStreamedMoments:
 
 
 class TestReducedNoise:
-    """CSL ensembles draw r < n_channels normals per step through
-    ``model.reduced()``, with the law of the full noise field."""
+    """CSL ensembles draw the caller's full noise field: one normal per
+    channel and sample time."""
 
     def csl_setup(self):
         params = ModelParams(gamma=0.3, rC=1.0)
         grid = Grid.centered(32, 8.0)
         return build_csl(params, grid), make_gaussian_state(params, grid, "M0")
 
-    def test_default_chunks_come_from_the_draws(self, monkeypatch):
-        """A chunk is sized by what its trajectories draw and hold: r normals
-        per sample segment on the reduced model (18 of 32 channels) and one
-        complex amplitude row, whatever dt.  With the noise cap at 20 such
-        trajectories, 45 run in chunks of 20, 20 and 5 at dt = 1e-3 and 1e-7
-        alike; the caller's 32 channels would give 17 per chunk."""
-        model, state0 = self.csl_setup()
-        reduced = model.reduced()
-        row = 16 * state0.amplitudes.size
-        cap = 20 * (8 * 2 * reduced.n_channels + row)
-        assert cap // (8 * 2 * model.n_channels + row) == 17
-        monkeypatch.setattr(integrators, "MAX_NOISE_BYTES", cap)
+    def record_chunks(self, monkeypatch):
+        """Replace ``_run_chunk`` by a wrapper; returns its (model, indices)
+        list, one entry per chunk run."""
         chunks = []
         run_chunk = integrators._run_chunk
 
-        def recording_run_chunk(model, spec, amp0, n_steps, sample_steps,
-                                seed, indices):
-            chunks.append((model.n_channels, indices))
-            return run_chunk(model, spec, amp0, n_steps, sample_steps, seed,
-                             indices)
+        def recording_run_chunk(model, spec, amp0, n_steps, slots, seed,
+                                indices):
+            chunks.append((model, indices))
+            return run_chunk(model, spec, amp0, n_steps, slots, seed, indices)
 
         monkeypatch.setattr(integrators, "_run_chunk", recording_run_chunk)
+        return chunks
+
+    def test_default_chunks_come_from_the_draws(self, monkeypatch):
+        """A chunk is sized by what its trajectories draw and hold: the
+        caller's 32 normals per sample segment and one complex amplitude
+        row, whatever dt.  With the noise cap at 20 such trajectories, 45
+        run in chunks of 20, 20 and 5 at dt = 1e-3 and 1e-7 alike."""
+        model, state0 = self.csl_setup()
+        row = 16 * state0.amplitudes.size
+        monkeypatch.setattr(integrators, "MAX_NOISE_BYTES",
+                            20 * (8 * 2 * 32 + row))
+        run_chunk = integrators._run_chunk
+        chunks = self.record_chunks(monkeypatch)
         kwargs = dict(t_max=13.0, n_traj=45, seed=9, n_samples=2)
         for dt in (1e-3, 1e-7):
             chunks.clear()
             a = run_ensemble(model, IntegratorSpec("stratonovich", dt), state0,
                              n_workers=1, **kwargs)
-            assert chunks == [(reduced.n_channels, range(0, 20)),
-                              (reduced.n_channels, range(20, 40)),
-                              (reduced.n_channels, range(40, 45))]
+            assert [(m.n_channels, idx) for m, idx in chunks] == [
+                (32, range(0, 20)), (32, range(20, 40)), (32, range(40, 45))]
         monkeypatch.setattr(integrators, "_run_chunk", run_chunk)
         b = run_ensemble(model, IntegratorSpec("stratonovich", 1e-7), state0,
                          n_workers=2, **kwargs)
         for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("kind", ["ito-nonlinear", "stratonovich"])
+    def test_chunks_run_on_the_callers_model(self, monkeypatch, kind):
+        """Every chunk receives the model object it was given, not a
+        rebuilt one: the process pool pickles what the caller passed."""
+        model, state0 = self.csl_setup()
+        chunks = self.record_chunks(monkeypatch)
+        run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.2, 6,
+                     seed=2, n_samples=2, n_workers=1, batch_size=4)
+        assert len(chunks) == 2
+        assert all(m is model for m, _ in chunks)
 
     @pytest.mark.parametrize("kind", ["stratonovich", "wong-zakai"])
     def test_csl_mean_matches_master_equation(self, kind):
@@ -675,3 +691,32 @@ class TestReducedNoise:
                                      times, 0.01)
         z = np.abs(res.flavor_mean[:, 0] - me.p_same) / res.flavor_stderr[:, 0]
         assert np.all(z < 3.0)
+
+
+class TestCslEnsembleProperty:
+    """Every pathwise CSL kind against the grid ME, by property."""
+
+    @given(gamma=st.floats(min_value=0.05, max_value=2.0),
+           r_c_spacings=st.integers(min_value=4, max_value=12),
+           n=st.integers(min_value=32, max_value=64),
+           kind=st.sampled_from(["ito-nonlinear", "ito-linear", "stratonovich"]),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_mean_within_five_sigma_of_grid_me(self, gamma, r_c_spacings, n,
+                                               kind, seed):
+        """On n grid points over extent 8, each trajectory's P(M0) and P(H)
+        lie in [0, 1], so their variance is at most p (1 - p) for the ME
+        value p (P(H) = 1/2 at all t): the mean of n_traj trajectories stays
+        within 5 sqrt(p (1 - p) / n_traj) of it, a bound that does not rest
+        on the sample stderr."""
+        grid = Grid.centered(n, 8.0)
+        params = ModelParams(gamma=gamma, rC=r_c_spacings * grid.spacing)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        times, n_traj = np.array([0.5, 1.5, 3.0]), 400
+        res = run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 3.0,
+                           n_traj, seed=seed, sample_times=times, n_workers=1)
+        p_same = me_flavor_probabilities(model, DensityBlocks.from_state(state0),
+                                         times, 0.01).p_same
+        for mean, p in ((res.flavor_mean[:, 0], p_same), (res.mass_mean[:, 0], 0.5)):
+            assert np.all(np.abs(mean - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n_traj))

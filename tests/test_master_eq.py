@@ -319,6 +319,13 @@ class TestGridMeDiagonal:
         with pytest.raises(ParameterError):
             me_flavor_probabilities(model, rho0, [0.5, 0.52], dt=0.05)
 
+    def test_csl_beyond_one_dimension_rejected(self):
+        """The CSL rate is a product over coordinates, so no power of the
+        1-D envelope is the dim-3 one (QMUPL's dim-3 cube is criterion 1)."""
+        _, _, model, rho0 = csl_setup()
+        with pytest.raises(ParameterError, match="dim=1"):
+            me_flavor_probabilities(model, rho0, [0.5], dt=0.05, dim=3)
+
 
 class TestTransitionProbability:
 

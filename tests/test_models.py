@@ -224,33 +224,3 @@ class TestProfileFormat:
         assert np.max(np.abs(rates - reference)) <= tol
         assert np.max(np.abs(_hl_diagonal_rate(model)
                              - np.diagonal(rates[IDX_H, IDX_L]))) <= tol
-
-
-class TestReduced:
-    """``reduced()`` keeps G^T G, so every noise field keeps its law."""
-
-    @pytest.mark.parametrize("gamma,r_c,n,extent,rank", [
-        (0.3, 1.0, 96, 16.0, 34),      # the csl-field benchmark grid
-        (0.4, 0.5, 640, 64.0, 248),    # the oracle benchmark grid
-    ], ids=["csl-field", "oracle"])
-    def test_csl_keeps_gram_matrix(self, gamma, r_c, n, extent, rank):
-        model = build_csl(ModelParams(gamma=gamma, rC=r_c),
-                          Grid.centered(n, extent))
-        reduced = model.reduced()
-        assert reduced.n_channels == rank < model.n_channels
-        assert reduced.profile.shape == (rank, n)
-        assert not reduced.profile.flags.writeable
-        for name in ("label", "coupling", "channel_measure", "grid"):
-            assert getattr(reduced, name) == getattr(model, name)
-        assert np.array_equal(reduced.mass_ratio, model.mass_ratio)
-
-        def rel_err(f):
-            ref = f(model)
-            return np.max(np.abs(f(reduced) - ref)) / np.max(np.abs(ref))
-        assert rel_err(lambda m: m.profile.T @ m.profile) < 1e-14
-        assert rel_err(lambda m: m.profile_square_sum()) < 1e-14
-        assert rel_err(decoherence_rates) < 1e-14
-
-    def test_full_rank_model_is_itself(self):
-        model = build_qmupl(ModelParams(lam=0.2), Grid.centered(64, 16.0))
-        assert model.reduced() is model
