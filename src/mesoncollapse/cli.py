@@ -26,7 +26,8 @@ from .core import (DensityBlocks, Grid, GridResolutionError,
 from .integrators import (_RESOLUTION, INTEGRATOR_KINDS, IntegratorSpec,
                           run_ensemble)
 from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
-                        flavor_record, me_flavor_probabilities)
+                        flavor_record, me_flavor_probabilities,
+                        require_me_dim)
 from .models import CSL, QMUPL, build_csl, build_qmupl
 from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
                     i_epsilon_monte_carlo, i_epsilon_quadrature)
@@ -219,6 +220,8 @@ def run_exact(config):
 
 
 def run_me(config):
+    # before anything is built: a rejected dim must not cost the density
+    require_me_dim(_MODELS[config["model"]][0], config["dim"])
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)

@@ -208,19 +208,29 @@ def transition_probability(rho, out, validate=True):
     return float(val)
 
 
+def require_me_dim(label, dim):
+    """Raise ParameterError unless the grid ME of model ``label`` gives dim.
+
+    The grid is 1-D.  The QMUPL HL-diagonal rate is a sum over coordinates,
+    so any dim follows from the 1-D envelope (``me_flavor_probabilities``).
+    The CSL rate is a product over coordinates, which no power of the 1-D
+    envelope gives, so CSL supports dim = 1 only.
+    """
+    if dim != 1 and label != QMUPL:
+        raise ParameterError("the %s grid master equation supports dim=1 only"
+                             % label)
+
+
 def me_flavor_probabilities(model, rho0, times, dt, dim=1):
     """Grid master-equation flavor probabilities at the sample times.
 
-    The grid is 1-D.  The QMUPL HL-diagonal rate is a sum over coordinates,
-    so in dim d its damping envelope is the 1-D envelope raised to the d-th
-    power while the phase is unchanged: p_same = 1/2 + Re(z) * (2|z|)^(d-1)
-    with z = int dx rho^HL(x,x); ``rho0`` is DensityBlocks or a pure
-    GridState.  The CSL rate is a product over coordinates, which no power
-    of the 1-D envelope gives, so dim != 1 raises ParameterError there.
+    In dim d the QMUPL damping envelope is the 1-D envelope raised to the
+    d-th power while the phase is unchanged: p_same = 1/2 + Re(z) *
+    (2|z|)^(d-1) with z = int dx rho^HL(x,x); ``rho0`` is DensityBlocks or a
+    pure GridState.  A dim the model cannot give raises ParameterError
+    (``require_me_dim``).
     """
-    if dim != 1 and model.label != QMUPL:
-        raise ParameterError("the %s grid master equation supports dim=1 only"
-                             % model.label)
+    require_me_dim(model.label, dim)
     rho0.validate(tol=1e-8)
     times, amplitudes = _interference_series(model, rho0, times, dt)
     z_re = amplitudes.real

@@ -4,14 +4,21 @@ Both models couple the noise to the mass density: channel i acts on the
 position (x) mass (mu) basis as A_i(x, mu) = G_i(x) m_mu / m0, with the
 spatial profile G_i(x) = x for QMUPL (one channel) and g(x_i - x) for CSL
 (one channel per grid point of the noise field).  A model stores the
-profile G and the two mass ratios, and every noise field and decoherence
-rate is built from them.  The Hamiltonian is mass-diagonal, so it commutes
-with every channel and evolution never mixes mass eigenstates.
+profile and the two mass ratios, and every noise field and decoherence
+rate is built from them.  The QMUPL profile is stored as the (1, n) G
+itself.  The CSL profile is Toeplitz on the uniform grid, so it is stored
+as its 2n - 1 kernel samples g(k dx): G is derived from them on first
+read, and s(x) = sum_i G_i(x)^2, all the grid master equation and the
+Dyson series read, is summed from them without G.  The Hamiltonian is
+mass-diagonal, so it commutes with every channel and evolution never
+mixes mass eigenstates.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GridResolutionError, _frozen_array
 
@@ -24,7 +31,13 @@ class CollapseModel:
     """Diagonal operator data for one collapse model on a grid.
 
     hamiltonian : (2,) phase rates (mH, mL), grid-point independent.
-    profile     : (n_channels, n_points) spatial profile G_i(x).
+    profile_data : the spatial profile as stored: G itself,
+        (n_channels, n_points), or the (2 n_points - 1,) kernel samples
+        g(k dx), k = -(n-1) ... n-1, of the Toeplitz profile
+        G[i, x] = g((i - x) dx) of one channel per grid point.
+    profile     : (n_channels, n_points) spatial profile G_i(x), read-only;
+        derived from the kernel samples on first read and kept, never
+        pickled.
     mass_ratio  : (2,) (mH / m0, mL / m0); channel i is
         A_i(x, mu) = profile[i, x] * mass_ratio[mu].
     coupling    : lambda (QMUPL) or gamma (CSL).
@@ -40,19 +53,37 @@ class CollapseModel:
 
     label: str
     hamiltonian: np.ndarray
-    profile: np.ndarray
+    profile_data: np.ndarray
     mass_ratio: np.ndarray
     coupling: float
     channel_measure: float
     grid: object
 
     def __post_init__(self):
-        for name in ("hamiltonian", "profile", "mass_ratio"):
+        for name in ("hamiltonian", "profile_data", "mass_ratio"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
+
+    def __getstate__(self):
+        # a pickle carries the stored data only, never a derived G
+        return {k: v for k, v in vars(self).items() if k != "profile"}
+
+    @cached_property
+    def profile(self):
+        """G_i(x): ``profile_data`` itself, or G[i, x] = profile_data[i - x + n - 1]
+        from the kernel samples."""
+        if self.profile_data.ndim == 2:
+            return self.profile_data
+        n = self.grid.n_points
+        g = np.ascontiguousarray(
+            sliding_window_view(self.profile_data[::-1], n)[::-1])
+        g.setflags(write=False)
+        return g
 
     @property
     def n_channels(self):
-        return self.profile.shape[0]
+        if self.profile_data.ndim == 2:
+            return self.profile_data.shape[0]
+        return self.grid.n_points
 
     @property
     def effective_coupling(self):
@@ -70,8 +101,15 @@ class CollapseModel:
         return (np.asarray(w, dtype=float) @ self.profile)[..., None] * self.mass_ratio
 
     def profile_square_sum(self):
-        """s(x) = sum_i G_i(x)^2, shape (n_points,); sum_i A_i^2 = s r_mu^2."""
-        return np.einsum("ix,ix->x", self.profile, self.profile)
+        """s(x) = sum_i G_i(x)^2, shape (n_points,); sum_i A_i^2 = s r_mu^2.
+
+        For kernel samples, s(x_j) sums g^2 over the n samples k = -j ...
+        n-1-j: one sliding window, in O(n) memory, with no G.
+        """
+        if self.profile_data.ndim == 2:
+            return np.einsum("ix,ix->x", self.profile_data, self.profile_data)
+        n = self.grid.n_points
+        return np.convolve(self.profile_data ** 2, np.ones(n), "valid")[::-1]
 
 
 def build_hamiltonian(params):
@@ -82,7 +120,8 @@ def build_hamiltonian(params):
 def build_qmupl(params, grid):
     """Position-localization model: one channel, profile G(x) = x."""
     h = build_hamiltonian(params)
-    return CollapseModel(label=QMUPL, hamiltonian=h, profile=grid.points[None, :],
+    return CollapseModel(label=QMUPL, hamiltonian=h,
+                         profile_data=grid.points[None, :],
                          mass_ratio=h / params.m0, coupling=params.lam,
                          channel_measure=1.0, grid=grid)
 
@@ -106,16 +145,17 @@ def build_csl(params, grid):
 
     Channel x_i has profile g(x_i - y) at y; the channel measure is the grid
     spacing, so that discrete channel sums reproduce the continuum
-    convolution sum_i g(x_i-y) g(x_i-y') dx -> (g*g)(y-y').
+    convolution sum_i g(x_i-y) g(x_i-y') dx -> (g*g)(y-y').  On the uniform
+    grid x_i - y = k dx, so the model stores the 2n - 1 samples g(k dx).
     """
     if grid.spacing > params.rC / 4.0:
         raise GridResolutionError(
             "grid spacing %g exceeds rC/4 = %g; smearing unresolved"
             % (grid.spacing, params.rC / 4.0))
-    x = grid.points
-    g = smearing_kernel(params, x[:, None] - x[None, :])  # (channel, point)
+    n = grid.n_points
+    g = smearing_kernel(params, grid.spacing * np.arange(1 - n, n))
     g.setflags(write=False)
     h = build_hamiltonian(params)
-    return CollapseModel(label=CSL, hamiltonian=h, profile=g,
+    return CollapseModel(label=CSL, hamiltonian=h, profile_data=g,
                          mass_ratio=h / params.m0, coupling=params.gamma,
                          channel_measure=grid.spacing, grid=grid)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mesoncollapse import DensityBlocks
 from mesoncollapse.cli import _SCHEMA, build_parser, main
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
@@ -402,6 +403,15 @@ class TestMeAndDyson:
         _, _, exact_rows = read_table(b)
         for m, e in zip(me_rows, exact_rows):
             assert float(m[1]) == pytest.approx(float(e[1]), abs=1e-8)
+
+    def test_me_rejects_a_dim_before_building_anything(self, monkeypatch,
+                                                       capsys):
+        """CSL me at dim 3 exits 2 without building the density."""
+        def refuse(cls, state):
+            raise AssertionError("density built for a rejected dim")
+        monkeypatch.setattr(DensityBlocks, "from_state", classmethod(refuse))
+        assert run_cli(_UNSUPPORTED_DIMENSIONS[0]) == 2
+        assert "supports dim=1 only" in capsys.readouterr().err
 
     def test_dyson_source_column(self, tmp_path):
         out = tmp_path / "dyson.csv"

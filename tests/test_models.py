@@ -12,7 +12,9 @@ from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            make_gaussian_state, smearing_kernel,
                            smearing_self_convolution)
 from mesoncollapse.core import IDX_H, IDX_L
-from mesoncollapse.master_eq import _hl_diagonal_rate, decoherence_rates
+from mesoncollapse.master_eq import (_hl_diagonal_rate, decoherence_rates,
+                                     dyson_flavor_probabilities,
+                                     me_flavor_probabilities)
 
 
 class TestHamiltonian:
@@ -194,8 +196,9 @@ class TestProfileFormat:
             assert np.max(np.abs(field - expected)) <= 1e-14 * scale
 
     def test_csl_stores_no_channel_array(self):
-        """Only G (nc, n) is stored, never the (nc, n, 2) product, and the
-        pickle a process pool ships carries little more than G."""
+        """G (nc, n) is derived from the kernel samples on read, the
+        (nc, n, 2) product is never stored, and the pickle a process pool
+        ships carries less than G even after G was read."""
         model = self.models()[1]
         n = model.grid.n_points
         assert model.channels.shape == (n, n, 2)      # derived, not cached
@@ -204,7 +207,7 @@ class TestProfileFormat:
         assert (n, n, 2) not in shapes
         assert model.profile.shape == (n, n)
         assert model.mass_ratio.shape == (2,)
-        assert len(pickle.dumps(model)) < 1.1 * model.profile.nbytes + 4096
+        assert len(pickle.dumps(model)) < model.profile.nbytes
 
     @given(n=st.integers(min_value=8, max_value=48),
            r_c=st.floats(min_value=0.25, max_value=4.0),
@@ -224,3 +227,63 @@ class TestProfileFormat:
         assert np.max(np.abs(rates - reference)) <= tol
         assert np.max(np.abs(_hl_diagonal_rate(model)
                              - np.diagonal(rates[IDX_H, IDX_L]))) <= tol
+
+
+class TestKernelSamples:
+    """A CSL model stores its 2n - 1 kernel samples g(k dx), not G."""
+
+    def setup_method(self):
+        self.params = ModelParams(gamma=0.4, rC=0.5)
+        self.grid = Grid.centered(160, 16.0)
+
+    @staticmethod
+    def largest_stored_array(model):
+        return max(v.size for v in vars(model).values()
+                   if isinstance(v, np.ndarray))
+
+    def test_me_and_dyson_never_store_g(self):
+        model = build_csl(self.params, self.grid)
+        n = self.grid.n_points
+        assert model.profile_data.shape == (2 * n - 1,)
+        assert self.largest_stored_array(model) <= 2 * n
+        model.profile_square_sum()
+        assert self.largest_stored_array(model) <= 2 * n
+        state = make_gaussian_state(self.params, self.grid, "M0")
+        times = np.array([0.5, 1.0])
+        me_flavor_probabilities(model, DensityBlocks.from_state(state),
+                                times, 0.5)
+        dyson_flavor_probabilities(model, state, times, 2)
+        assert self.largest_stored_array(model) <= 2 * n
+
+    def test_pickle_carries_the_samples_only(self):
+        model = build_csl(self.params, self.grid)
+        n = self.grid.n_points
+        bound = 16 * (2 * n - 1) + 4096
+        assert len(pickle.dumps(model)) <= bound
+        profile = model.profile                   # derived and kept
+        assert "profile" in vars(model)
+        assert len(pickle.dumps(model)) <= bound
+        copy = pickle.loads(pickle.dumps(model))
+        assert "profile" not in vars(copy)
+        assert np.array_equal(copy.profile, profile)
+        assert copy.n_channels == n
+
+    @given(n=st.integers(min_value=2, max_value=256),
+           r_c=st.floats(min_value=0.01, max_value=100.0),
+           fill=st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_construction(self, n, r_c, fill):
+        """G and s(x) from the samples match g(x_i - x) built on the n x n
+        grid differences, for every extent fill * n rC / 4 that resolves
+        the smearing."""
+        params = ModelParams(gamma=0.4, rC=r_c)
+        grid = Grid.centered(n, fill * n * r_c / 4.0)
+        x = grid.points
+        dense = smearing_kernel(params, x[:, None] - x[None, :])
+        model = build_csl(params, grid)
+        assert model.profile.shape == (n, n)
+        assert (np.max(np.abs(model.profile - dense))
+                <= 1e-14 * np.max(dense))
+        squares = np.einsum("ix,ix->x", dense, dense)
+        assert (np.max(np.abs(model.profile_square_sum() - squares))
+                <= 1e-14 * np.max(squares))
