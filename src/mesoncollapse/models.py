@@ -5,11 +5,9 @@ position (x) mass (mu) basis as A_i(x, mu) = G_i(x) m_mu / m0, with the
 spatial profile G_i(x) = x for QMUPL (one channel) and g(x_i - x) for CSL
 (one channel per grid point of the noise field).  A model stores the
 profile and the two mass ratios, and every noise field and decoherence
-rate is built from them.  The QMUPL profile is stored as the (1, n) G
-itself.  The CSL profile is Toeplitz on the uniform grid, so it is stored
-as its 2n - 1 kernel samples g(k dx): G is derived from them on first
-read, and s(x) = sum_i G_i(x)^2, all the grid master equation and the
-Dyson series read, is summed from them without G.  The Hamiltonian is
+rate is built from them.  The CSL profile is Toeplitz on the uniform grid,
+so it is stored as its 2n - 1 kernel samples g(k dx); s(x) = sum_i G_i(x)^2,
+all the grid ME and the Dyson series read, needs no G.  The Hamiltonian is
 mass-diagonal, so it commutes with every channel and evolution never
 mixes mass eigenstates.
 """
@@ -31,13 +29,10 @@ class CollapseModel:
     """Diagonal operator data for one collapse model on a grid.
 
     hamiltonian : (2,) phase rates (mH, mL), grid-point independent.
-    profile_data : the spatial profile as stored: G itself,
-        (n_channels, n_points), or the (2 n_points - 1,) kernel samples
-        g(k dx), k = -(n-1) ... n-1, of the Toeplitz profile
-        G[i, x] = g((i - x) dx) of one channel per grid point.
+    profile_data : G itself, (n_channels, n_points), or the (2n - 1,)
+        kernel samples g(k dx), k = -(n-1) ... n-1, of a Toeplitz G.
     profile     : (n_channels, n_points) spatial profile G_i(x), read-only;
-        derived from the kernel samples on first read and kept, never
-        pickled.
+        derived from kernel samples on first read and cached, never pickled.
     mass_ratio  : (2,) (mH / m0, mL / m0); channel i is
         A_i(x, mu) = profile[i, x] * mass_ratio[mu].
     coupling    : lambda (QMUPL) or gamma (CSL).
