@@ -35,8 +35,8 @@ from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
 _NUMERICAL_ERRORS = (NormDivergenceError, InvariantViolationError,
                      UnderResolvedKernelError, GridResolutionError)
 
-# model key -> (closed-form label, grid model builder)
-_MODELS = {"qmupl": (QMUPL, build_qmupl), "csl": (CSL, build_csl)}
+# model key -> closed-form label
+_MODELS = {"qmupl": QMUPL, "csl": CSL}
 
 # the sign rule a key's value must obey; every float must also be finite
 _SIGN_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
@@ -131,7 +131,10 @@ def _build_grid(config):
 
 
 def _build_model(config, params, grid):
-    return _MODELS[config["model"]][1](params, grid)
+    # the builders are looked up by name at call time, so a rebinding of
+    # them (a timing wrapper, a test spy) is seen
+    build = build_csl if _MODELS[config["model"]] == CSL else build_qmupl
+    return build(params, grid)
 
 
 def _sample_times(config, snap_dt=None):
@@ -213,15 +216,14 @@ def _emit_record(config, record, extra_header=()):
 
 def run_exact(config):
     params = _build_params(config)
-    record = flavor_record(params, _sample_times(config),
-                           _MODELS[config["model"]][0])
+    record = flavor_record(params, _sample_times(config), _MODELS[config["model"]])
     _emit_record(config, record)
     return 0
 
 
 def run_me(config):
     # before anything is built: a rejected dim must not cost the density
-    require_me_dim(_MODELS[config["model"]][0], config["dim"])
+    require_me_dim(_MODELS[config["model"]], config["dim"])
     params = _build_params(config)
     grid = _build_grid(config)
     model = _build_model(config, params, grid)
@@ -302,7 +304,7 @@ def run_compare(config):
     """
     params, model, initial, times, ens = _ensemble(config)
     # the closed form after run_ensemble has checked the sample times
-    exact = flavor_record(params, times, _MODELS[config["model"]][0])
+    exact = flavor_record(params, times, _MODELS[config["model"]])
     me = me_flavor_probabilities(model, DensityBlocks.from_state(initial),
                                  times, config["dt"])
 

@@ -6,6 +6,7 @@ are their equal-weight combinations.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -198,8 +199,7 @@ class GridState:
 
     def hl_diagonal(self):
         """dx rho^HL(x, x) of the projector: psi_H(x) conj(psi_L(x)) dx, shape (n,)."""
-        amp = self.amplitudes
-        return amp[:, IDX_H] * np.conj(amp[:, IDX_L]) * self.grid.spacing
+        return _projector_hl_diagonal(self.amplitudes, self.grid.spacing)
 
     def validate(self, tol=1e-9):
         norm = self.norm()
@@ -208,40 +208,66 @@ class GridState:
         return self
 
 
-@dataclass(frozen=True)
-class DensityBlocks:
-    """Averaged density matrix rho^{mu nu}(x, y), stored as (2, 2, n, n).
+def _projector_hl_diagonal(amp, dx):
+    """psi_H(x) conj(psi_L(x)) dx: the same einsum product as the HL block of
+    the projector, so the two agree bit for bit."""
+    return np.einsum("x,x->x", amp[:, IDX_H], np.conj(amp[:, IDX_L])) * dx
 
-    The blocks are held in one read-only array.  A read-only complex array
-    that owns its memory is kept without a copy, so a caller that builds a
-    fresh array freezes it (``setflags(write=False)``) before handing it over.
+
+@dataclass(frozen=True, eq=False, init=False)
+class DensityBlocks:
+    """Averaged density matrix rho^{mu nu}(x, y), read as (2, 2, n, n) ``blocks``.
+
+    ``DensityBlocks(blocks, grid)`` holds the blocks in one read-only array.
+    A read-only complex array that owns its memory is kept without a copy, so
+    a caller that builds a fresh array freezes it (``setflags(write=False)``)
+    before handing it over.  ``from_state`` holds a pure state's (n, 2)
+    ``amplitudes`` instead: its ``blocks`` are built on first read and
+    cached, and ``trace``, ``hl_diagonal`` and ``validate`` read the
+    amplitudes, so the grid ME and the Dyson series never build the n^2
+    projector.  Equality is identity.
     """
 
-    blocks: np.ndarray
     grid: Grid
+    amplitudes: np.ndarray      # (n, 2) of a pure projector, else None
 
-    def __post_init__(self):
-        b = _frozen_array(self.blocks, complex)
-        n = self.grid.n_points
+    def __init__(self, blocks, grid):
+        b = _frozen_array(blocks, complex)
+        n = grid.n_points
         if b.shape != (2, 2, n, n):
             raise InvariantViolationError(
                 "blocks must have shape (2, 2, %d, %d), got %r" % (n, n, b.shape))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "amplitudes", None)
         object.__setattr__(self, "blocks", b)
 
     @classmethod
     def from_state(cls, state):
-        """Projector |phi><phi| of a pure GridState."""
-        amp = state.amplitudes  # (n, 2)
+        """Projector |phi><phi| of a pure GridState, held as its amplitudes."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "grid", state.grid)
+        object.__setattr__(rho, "amplitudes", state.amplitudes)
+        return rho
+
+    @cached_property
+    def blocks(self):
+        """rho^{mu nu}(x, y) = psi_mu(x) conj(psi_nu(y)) of a projector, read-only."""
+        amp = self.amplitudes
         blocks = np.einsum("xm,yn->mnxy", amp, np.conj(amp))
         blocks.setflags(write=False)
-        return cls(blocks, state.grid)
+        return blocks
 
     def trace(self):
-        diag = np.einsum("mmxx->", self.blocks)
+        if self.amplitudes is None:
+            diag = np.einsum("mmxx->", self.blocks)
+        else:
+            diag = np.einsum("xm,xm->", self.amplitudes, np.conj(self.amplitudes))
         return complex(diag) * self.grid.spacing
 
     def hl_diagonal(self):
         """dx rho^HL(x, x), shape (n,)."""
+        if self.amplitudes is not None:
+            return _projector_hl_diagonal(self.amplitudes, self.grid.spacing)
         return np.diagonal(self.blocks[IDX_H, IDX_L]) * self.grid.spacing
 
     def hermiticity_defect(self):
@@ -261,10 +287,13 @@ class DensityBlocks:
         return float(np.max(worst))
 
     def validate(self, tol=1e-9):
-        defect = self.hermiticity_defect()
-        if not defect <= tol:
-            raise InvariantViolationError(
-                "density blocks are not Hermitian (defect %g)" % defect)
+        """Check Hermiticity and a unit trace.  A projector is Hermitian by
+        construction, so for one only the trace (its norm^2) is checked."""
+        if self.amplitudes is None:
+            defect = self.hermiticity_defect()
+            if not defect <= tol:
+                raise InvariantViolationError(
+                    "density blocks are not Hermitian (defect %g)" % defect)
         tr = self.trace()
         if not abs(tr - 1.0) <= tol:
             raise InvariantViolationError("trace is %s, expected 1" % (tr,))

@@ -24,7 +24,7 @@ QMUPL = "QMUPL"
 CSL = "CSL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapseModel:
     """Diagonal operator data for one collapse model on a grid.
 
@@ -43,7 +43,7 @@ class CollapseModel:
 
     Only the Gram matrix G^T G enters the physics: it is the covariance of
     the noise field sum_i w_i G_i, and the master equation reads nothing
-    else.
+    else.  Equality is identity.
     """
 
     label: str

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mesoncollapse import DensityBlocks
+from mesoncollapse import DensityBlocks, build_csl
 from mesoncollapse.cli import _SCHEMA, build_parser, main
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
@@ -201,12 +201,13 @@ class TestExitCodes:
                         reason="RLIMIT_AS and /proc/self/statm are Linux's")
     @pytest.mark.parametrize("args", [
         ["exact", "--samples", "1000000000"],
-        ["me", "--grid-points", "20000", "--tmax", "0.01", "--samples", "1",
-         "--dt", "0.01"],
+        ["me", "--grid-points", "20000", "--tmax", "1000", "--samples",
+         "100000", "--dt", "0.01"],
     ])
     def test_out_of_memory_is_config_error(self, args, tmp_path):
         """The child caps its own address space 1 GiB above its size after
-        import, so the multi-GB request fails without being allocated."""
+        import, so the multi-GB request fails without being allocated.  The
+        ``me`` request is its (times, points) series, 32 GB."""
         script = (
             "import os, resource, sys\n"
             "from mesoncollapse.cli import main\n"
@@ -413,6 +414,22 @@ class TestMeAndDyson:
         assert run_cli(_UNSUPPORTED_DIMENSIONS[0]) == 2
         assert "supports dim=1 only" in capsys.readouterr().err
 
+    def test_me_calls_the_builder_bound_in_cli(self, monkeypatch, capsys):
+        """The model builder is looked up by name when ``me`` runs, so a
+        rebinding of ``cli.build_csl`` (a spy, a timing wrapper) is called."""
+        from mesoncollapse import cli
+        calls = []
+
+        def spy(params, grid):
+            calls.append(grid.n_points)
+            return build_csl(params, grid)
+        monkeypatch.setattr(cli, "build_csl", spy)
+        assert run_cli(["me", "--model", "csl", "--gamma", "0.4",
+                        "--grid-points", "32", "--tmax", "0.2", "--samples",
+                        "2", "--dt", "0.01"]) == 0
+        assert calls == [32]
+        assert "me-numeric" in capsys.readouterr().out
+
     def test_dyson_source_column(self, tmp_path):
         out = tmp_path / "dyson.csv"
         assert run_cli(["dyson", "--model", "qmupl", "--lambda", "0.01",
@@ -515,3 +532,28 @@ class TestStartup:
         eps, _, theta_zero = doc["rows"][-1][:3]
         assert eps == pytest.approx(1.0 / 100.0)
         assert abs(theta_zero - 0.5) < 1e-3
+
+
+class TestBenchTrace:
+    """The benchmark's tracing wrapper still sees what it measures."""
+
+    def test_traced_me_counts_the_density_and_the_build(self):
+        n, steps = 32, 20
+        env = dict(os.environ, MESONCOLLAPSE_WORKERS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                       if p))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "trace_cli.py"), "me",
+             "--model", "csl", "--gamma", "0.4", "--grid-points", str(n),
+             "--tmax", "0.2", "--samples", "2", "--dt", "0.01"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines()
+                 if line.startswith("BENCH-TRACE ")]
+        assert len(lines) == 1
+        trace = json.loads(lines[0][len("BENCH-TRACE "):])
+        assert trace["sums"]["master_eq.me_bytes"] == 16 * 4 * n * n * steps
+        assert trace["inclusive"].get("models.build", 0) > 0
+        assert trace["maxes"]["models.channel_bytes"] > 0
+        assert trace["missing"] == []

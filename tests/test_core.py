@@ -1,5 +1,6 @@
 """Tests for domain types, basis conversions, and grid states."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -10,8 +11,10 @@ from hypothesis import given, strategies as st
 from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            GridState, InvariantViolationError, ModelParams,
                            ParameterError, flavor_to_mass, make_gaussian_state)
-from mesoncollapse import core
+from mesoncollapse import build_csl, core
 from mesoncollapse.core import IDX_H, IDX_L
+from mesoncollapse.master_eq import (dyson_flavor_probabilities,
+                                     me_flavor_probabilities)
 
 INV_SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -198,6 +201,21 @@ class TestDensityBlocks:
             tracemalloc.stop()
         assert peak <= 1.05 * rho.blocks.nbytes
 
+    def test_explicit_density_validates_in_slabs(self):
+        """An explicit 640-point density is checked without a second array
+        of its size: the Hermiticity scan runs in slabs."""
+        amp = make_gaussian_state(ModelParams(), Grid.centered(640, 64.0)).amplitudes
+        tracemalloc.start()
+        try:
+            blocks = np.einsum("xm,yn->mnxy", amp, np.conj(amp))
+            blocks.setflags(write=False)
+            rho = DensityBlocks(blocks, Grid.centered(640, 64.0)).validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.blocks is blocks
+        assert peak <= 1.05 * blocks.nbytes
+
     @given(n=st.integers(2, 40), slab_bytes=st.integers(1, 4096),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_hermiticity_defect_equals_full_difference(self, n, slab_bytes, seed):
@@ -248,3 +266,88 @@ class TestDensityBlocks:
         arr = np.zeros((2, 2, 8, 8), dtype=complex)
         arr.setflags(write=False)
         assert DensityBlocks(arr, grid).blocks is arr
+
+    def test_equality_is_identity(self):
+        grid = Grid.centered(8, 16.0)
+        arr = np.zeros((2, 2, 8, 8), dtype=complex)
+        a, b = DensityBlocks(arr, grid), DensityBlocks(arr, grid)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
+def _random_state(n, seed):
+    """A normalized GridState with complex amplitudes of every sign."""
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return GridState(amp, Grid.centered(n, 16.0)).normalized()
+
+
+def _largest_stored_array(obj):
+    return max((v.size for v in vars(obj).values() if isinstance(v, np.ndarray)),
+               default=0)
+
+
+class TestPureProjector:
+    """``from_state`` holds the amplitudes; the n^2 blocks are built on read."""
+
+    def test_holds_the_amplitudes_only(self):
+        state = make_gaussian_state(ModelParams(), Grid.centered(640, 64.0))
+        rho = DensityBlocks.from_state(state)
+        assert rho.amplitudes is state.amplitudes
+        assert _largest_stored_array(rho) <= 2 * 640
+        rho.validate()
+        assert _largest_stored_array(rho) <= 2 * 640
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_are_the_projector_built_once(self, n, seed):
+        state = _random_state(n, seed)
+        rho = DensityBlocks.from_state(state)
+        amp = state.amplitudes
+        expected = np.einsum("xm,yn->mnxy", amp, np.conj(amp))
+        blocks = rho.blocks
+        assert blocks.tobytes() == expected.tobytes()
+        assert blocks.strides == expected.strides
+        assert not blocks.flags.writeable
+        assert rho.blocks is blocks
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hl_diagonal_is_the_blocks_diagonal(self, n, seed):
+        """Bit for bit, signed zeros included, and so is the state's own."""
+        state = _random_state(n, seed)
+        rho = DensityBlocks.from_state(state)
+        z0 = rho.hl_diagonal()
+        assert _largest_stored_array(rho) <= 2 * n
+        expected = np.diagonal(rho.blocks[IDX_H, IDX_L]) * state.grid.spacing
+        assert z0.tobytes() == expected.tobytes()
+        assert state.hl_diagonal().tobytes() == expected.tobytes()
+        explicit = DensityBlocks(rho.blocks, state.grid)
+        assert explicit.hl_diagonal().tobytes() == expected.tobytes()
+
+    def test_trace_and_validate_read_the_norm(self):
+        state = _random_state(32, 7)
+        rho = DensityBlocks.from_state(state)
+        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+        assert rho.trace() == pytest.approx(DensityBlocks(rho.blocks, state.grid).trace(),
+                                            abs=1e-15)
+        scaled = DensityBlocks.from_state(GridState(1.01 * state.amplitudes, state.grid))
+        with pytest.raises(InvariantViolationError, match="trace"):
+            scaled.validate()
+        assert _largest_stored_array(scaled) <= 2 * 32
+
+    def test_me_and_dyson_build_no_density(self):
+        params = ModelParams(gamma=0.4, rC=0.5)
+        grid = Grid.centered(160, 16.0)
+        rho = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
+        model = build_csl(params, grid)
+        times = np.array([0.5, 1.0])
+        me_flavor_probabilities(model, rho, times, 0.5)
+        dyson_flavor_probabilities(model, rho, times, 2)
+        assert _largest_stored_array(rho) <= 2 * grid.n_points
+
+    def test_is_frozen(self):
+        rho = DensityBlocks.from_state(_random_state(8, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.amplitudes = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.blocks = None
+        assert rho == rho and rho != DensityBlocks.from_state(_random_state(8, 1))

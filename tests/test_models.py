@@ -287,3 +287,10 @@ class TestKernelSamples:
         squares = np.einsum("ix,ix->x", dense, dense)
         assert (np.max(np.abs(model.profile_square_sum() - squares))
                 <= 1e-14 * np.max(squares))
+
+    def test_equality_is_identity(self):
+        """Two models built alike are distinct objects; both hash."""
+        a = build_csl(self.params, self.grid)
+        b = build_csl(self.params, self.grid)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
