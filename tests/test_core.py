@@ -276,9 +276,11 @@ class TestDensityBlocks:
 
 
 def _random_state(n, seed):
-    """A normalized GridState with complex amplitudes of every sign."""
+    """A normalized GridState with complex amplitudes of every sign and a
+    negative zero in every third L entry."""
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    amp[::3, IDX_L] = complex(-0.0, -0.0)
     return GridState(amp, Grid.centered(n, 16.0)).normalized()
 
 
@@ -326,10 +328,11 @@ class TestPureProjector:
     def test_trace_and_validate_read_the_norm(self):
         state = _random_state(32, 7)
         rho = DensityBlocks.from_state(state)
+        explicit = DensityBlocks(rho.blocks, state.grid)
         assert rho.trace() == pytest.approx(1.0, abs=1e-14)
-        assert rho.trace() == pytest.approx(DensityBlocks(rho.blocks, state.grid).trace(),
-                                            abs=1e-15)
-        scaled = DensityBlocks.from_state(GridState(1.01 * state.amplitudes, state.grid))
+        assert rho.trace() == pytest.approx(explicit.trace(), abs=1e-15)
+        scaled = DensityBlocks.from_state(
+            GridState(1.01 * state.amplitudes, state.grid))
         with pytest.raises(InvariantViolationError, match="trace"):
             scaled.validate()
         assert _largest_stored_array(scaled) <= 2 * 32
