@@ -8,7 +8,7 @@ regularized noise-autocorrelation integral whose limit is 1/2.
 from .core import (DensityBlocks, Grid, GridResolutionError, GridState,
                    InvariantViolationError, ModelParams, NormDivergenceError,
                    ParameterError, flavor_to_mass, make_gaussian_state)
-from .integrators import (INTEGRATOR_KINDS, WORKERS_ENV, EnsembleResult,
+from .integrators import (INTEGRATOR_KINDS, EnsembleResult,
                           IntegratorSpec, integrate_wong_zakai, run_ensemble,
                           step_ito_linear, step_ito_nonlinear,
                           step_stratonovich)

@@ -328,7 +328,8 @@ def make_gaussian_state(params, grid, flavor="M0"):
     GridResolutionError if the grid does not resolve or cover the packet.
     """
     root_alpha = np.sqrt(params.alpha)
-    if grid.extent < 8.0 * root_alpha:
+    # n * (extent / n) may fall an ulp short of the extent the grid was built on
+    if grid.extent < 8.0 * root_alpha * (1.0 - 4.0 * np.finfo(float).eps):
         raise GridResolutionError(
             "grid extent %g does not cover 8*sqrt(alpha)=%g"
             % (grid.extent, 8.0 * root_alpha))

@@ -20,12 +20,11 @@ there (W^eps is linear in the Wiener increments), so the linear and
 collapse results do not depend on dt.  The one-step collapse formula
 ``step_ito_nonlinear``, ``step_ito_linear`` (Euler-Maruyama, norm-checked),
 ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
-mollified-noise ODE) remain as references.  Reductions run in fixed chunk
-order, so results do not depend on the worker count.
+mollified-noise ODE) remain as references.  Chunks run one after another
+in one process, and their moments merge in fixed chunk order.
 """
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .noise import (MAX_NOISE_BYTES, Mollifier, _require_resolved,
                     gaussian_factor, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
-
-WORKERS_ENV = "MESONCOLLAPSE_WORKERS"
 
 # A trajectory's probability is a ratio of two pairwise sums over the grid,
 # good to O(log2(n) eps) relative; values that spread less than this much
@@ -250,18 +247,9 @@ def _mean_stderr(moments):
     return mean, np.sqrt(var / n), var
 
 
-def _sample_slots(sample_steps):
-    """Sample step -> every output slot it fills (a time may repeat).
-
-    Distinct steps come from a set, not ``np.unique``, whose first call
-    imports ``numpy.ma``.
-    """
-    steps = np.asarray(sample_steps)
-    return {s: np.flatnonzero(steps == s) for s in sorted(set(steps.tolist()))}
-
-
-def _exact_path(model, spec, amp0, n_steps, stops, rngs):
-    """Every kind, solved pathwise at the sample steps only.
+def _exact_path(model, spec, amp0, n_steps, steps, rngs):
+    """Every kind, solved pathwise at the sample steps ``steps`` only
+    (distinct, ascending): yields the psi batch at each, in order.
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
     and the Stratonovich form alike, and for the mollified-noise ODE with W
@@ -283,7 +271,6 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
     collapse measure, drawn directly, with no weights and no time steps.
     """
     nc, dt = model.n_channels, spec.dt
-    order = sorted(stops)
     if spec.kind == "ito-nonlinear":
         prob = (amp0.real ** 2 + amp0.imag ** 2).reshape(-1)
         on = np.flatnonzero(prob)
@@ -291,68 +278,51 @@ def _exact_path(model, spec, amp0, n_steps, stops, rngs):
         u = np.array([rng.random() for rng in rngs])
         pick = on[np.searchsorted(cum, u * cum[-1], side="right")]
     if spec.kind == "wong-zakai":
-        _, weights = window_integrals(spec.mollifier, dt * np.array(order),
+        _, weights = window_integrals(spec.mollifier, dt * np.array(steps),
                                       n_steps * dt, dt)
         factor = gaussian_factor(weights, dt)
-        w = np.stack([factor @ rng.standard_normal((len(order), nc))
+        w = np.stack([factor @ rng.standard_normal((len(steps), nc))
                       for rng in rngs], axis=1)          # (n_stops, B, nc)
     else:
-        seg_sd = np.sqrt(dt * np.diff([0] + order))[:, None]
-        w = np.cumsum(np.stack([rng.normal(0.0, seg_sd, (len(order), nc))
+        seg_sd = np.sqrt(dt * np.diff([0] + steps))[:, None]
+        w = np.cumsum(np.stack([rng.normal(0.0, seg_sd, (len(steps), nc))
                                 for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
     if spec.kind == "ito-nonlinear":
-        times = dt * np.array(order)
+        times = dt * np.array(steps)
         a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
         for w_t, t in zip(w, times):                              # W becomes Y
             w_t += 2.0 * np.sqrt(model.effective_coupling) * t * a_xi
-        yield from zip(order, _collapse_states(model, amp0, w, times))
+        yield from _collapse_states(model, amp0, w, times)
         return
-    for stop, w_t in zip(order, w):
-        yield stop, amp0 * np.exp(_unitary_exponent(model, stop * dt, w_t))
+    for step, w_t in zip(steps, w):
+        yield amp0 * np.exp(_unitary_exponent(model, step * dt, w_t))
 
 
-def _run_chunk(model, spec, amp0, n_steps, slots, seed, indices):
-    """(n, mean, M2) of one batch's observables, (T, 4) each, at the sample steps.
-
-    ``slots`` maps each distinct sample step to its output rows
-    (``_sample_slots``); ``_exact_path`` yields (step, psi batch) at each of
-    them from the trajectories' own Philox streams.
+def _run_chunk(model, spec, amp0, n_steps, steps, seed, indices):
+    """(n, mean, M2) of one batch's observables, (U, 4) each, one row per
+    distinct sample step in ``steps``, from the trajectories' own Philox
+    streams.
     """
-    mean = np.zeros((sum(map(len, slots.values())), 4))
+    mean = np.zeros((len(steps), 4))
     m2 = np.zeros_like(mean)
     rngs = [path_generator(seed, traj) for traj in indices]
-    for k, amp in _exact_path(model, spec, amp0, n_steps, slots, rngs):
-        _, mean[slots[k]], m2[slots[k]] = _moments(_observables(amp, model.grid.spacing))
+    paths = _exact_path(model, spec, amp0, n_steps, steps, rngs)
+    for row, amp in enumerate(paths):
+        _, mean[row], m2[row] = _moments(_observables(amp, model.grid.spacing))
     return len(indices), mean, m2
 
 
-def resolve_workers(n_workers=None):
-    """Worker count: ``n_workers``, else $MESONCOLLAPSE_WORKERS, else every core."""
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError("%s must be an integer, got %r"
-                                 % (WORKERS_ENV, env)) from None
-    return os.cpu_count() or 1
-
-
 def run_ensemble(model, spec, initial, t_max, n_traj, seed,
-                 sample_times=None, n_samples=10, n_workers=None,
-                 batch_size=None):
+                 sample_times=None, n_samples=10, batch_size=None):
     """Stream ``n_traj`` trajectories and accumulate their observables.
 
     Each chunk of trajectories reduces to one (n, mean, M2) triple over
     [P(M0), P(M0bar), P(H), P(L)] at the sample times.  Per-trajectory
     noise streams are derived from (seed, trajectory index) with a
     counter-based generator, and the chunks' moments are merged in fixed
-    chunk order, so the result is bit-reproducible and independent of the
-    worker count, ``resolve_workers(n_workers)``.  Every chunk runs on
-    ``model`` itself; the chunk size comes from its n_channels normals per
-    sample time and the amplitude row, not from dt.
+    chunk order, so the result is bit-reproducible.  Every chunk runs on
+    ``model`` itself, in this process; the chunk size comes from its
+    n_channels normals per sample time and the amplitude row, not from dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -371,29 +341,22 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     if np.any((sample_steps < 0) | (sample_steps > n_steps)):
         raise ParameterError("sample times must lie in [0, t_max]")
 
-    slots = _sample_slots(sample_steps)
+    # distinct steps from a set: np.unique imports numpy.ma on its first call
+    steps = sorted(set(sample_steps.tolist()))
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
         # so the reduction order: n_channels normals per sample time and one
         # complex amplitude row
-        per_traj = (8 * len(slots) * model.n_channels
+        per_traj = (8 * len(steps) * model.n_channels
                     + 16 * initial.amplitudes.size)
         batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
-    tasks = [(model, spec, initial.amplitudes, n_steps, slots,
-              int(seed), range(a, b))
-             for a, b in zip(edges[:-1], edges[1:])]
-    workers = resolve_workers(n_workers)
-    if workers > 1 and len(tasks) > 1:
-        # imported here: the pool pulls in multiprocessing, socket and
-        # subprocess, which no single-chunk or single-worker run needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
-            partials = list(ex.map(_run_chunk, *zip(*tasks)))
-    else:
-        partials = [_run_chunk(*t) for t in tasks]
-
-    mean, stderr, var = _mean_stderr(functools.reduce(_merge_moments, partials))
+    partials = [_run_chunk(model, spec, initial.amplitudes, n_steps, steps,
+                           int(seed), range(a, b))
+                for a, b in zip(edges[:-1], edges[1:])]
+    rows = np.searchsorted(steps, sample_steps)       # a time may repeat
+    mean, stderr, var = (a[rows] for a in _mean_stderr(
+        functools.reduce(_merge_moments, partials)))
     return EnsembleResult(times=sample_times, n_traj=n_traj,
                           flavor_mean=mean[:, :2], flavor_stderr=stderr[:, :2],
                           mass_mean=mean[:, 2:], mass_stderr=stderr[:, 2:],

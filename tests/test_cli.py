@@ -28,8 +28,8 @@ def run_cli_process(args, script=None, env=None):
 
     ``script`` replaces ``-m mesoncollapse.cli`` with ``-c script``; it
     receives ``args`` as ``sys.argv[1:]``.  ``env`` entries override the
-    inherited environment, in which MESONCOLLAPSE_WORKERS is 1."""
-    env = dict(os.environ, MESONCOLLAPSE_WORKERS="1") | (env or {})
+    inherited environment."""
+    env = os.environ | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     entry = ["-c", script] if script else ["-m", "mesoncollapse.cli"]
@@ -247,14 +247,17 @@ class TestExitCodes:
         assert err.count("numerical error:") == 1
         assert "exceeds eps/4" in err and "Traceback" not in err
 
-    def test_bad_worker_env_is_config_error(self, monkeypatch, tmp_path,
-                                            capsys):
+    def test_worker_env_is_not_read(self, monkeypatch, capsys):
+        """Ensembles run in one process: MESONCOLLAPSE_WORKERS, once a worker
+        count, is ignored, whatever its value."""
+        args = ["ensemble", "--tmax", "0.02", "--samples", "1", "--dt", "0.01",
+                "--ntraj", "2", "--grid-points", "64"]
         monkeypatch.setenv("MESONCOLLAPSE_WORKERS", "abc")
-        code = run_cli(["ensemble", "--tmax", "0.02", "--samples", "1",
-                        "--dt", "0.01", "--ntraj", "2", "--grid-points", "64",
-                        "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "MESONCOLLAPSE_WORKERS" in capsys.readouterr().err
+        assert run_cli(args) == 0
+        ignored = capsys.readouterr()
+        monkeypatch.delenv("MESONCOLLAPSE_WORKERS")
+        assert run_cli(args) == 0
+        assert capsys.readouterr() == ignored
 
     def test_numerical_error_status(self, tmp_path):
         # CSL smearing unresolved by the grid -> numerical failure (1)
@@ -510,18 +513,20 @@ class TestStartup:
         assert code == 0, err
         assert "loaded: []" in err
 
-    def test_pooled_compare_matches_one_worker(self):
-        """Two workers on two chunks start the pool, imported on first use,
-        and print the bytes of one worker."""
-        outputs = {}
-        for workers in ("1", "2"):
-            code, outputs[workers], err = run_cli_process(
+    def test_two_chunk_compare_ignores_worker_env(self, monkeypatch):
+        """Two chunks run in this process whatever MESONCOLLAPSE_WORKERS
+        says: no pool module is loaded, and the bytes are those of a run
+        without the variable."""
+        monkeypatch.delenv("MESONCOLLAPSE_WORKERS", raising=False)
+        outputs = []
+        for env in ({}, {"MESONCOLLAPSE_WORKERS": "2"}):
+            code, out, err = run_cli_process(
                 ["concurrent.futures"] + _TWO_CHUNK_COMPARE, _LOADED_SCRIPT,
-                env={"MESONCOLLAPSE_WORKERS": workers})
+                env=env)
             assert code == 0, err
-            pooled = "['concurrent.futures']" if workers == "2" else "[]"
-            assert "loaded: %s" % pooled in err
-        assert outputs["1"] == outputs["2"]
+            assert "loaded: []" in err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_theta_check_json_in_fresh_process(self):
         code, out, err = run_cli_process(
@@ -539,7 +544,7 @@ class TestBenchTrace:
 
     def test_traced_me_counts_the_density_and_the_build(self):
         n, steps = 32, 20
-        env = dict(os.environ, MESONCOLLAPSE_WORKERS="1",
+        env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(
                        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
                        if p))

@@ -167,6 +167,14 @@ class TestGaussianState:
         with pytest.raises(GridResolutionError):
             make_gaussian_state(self.params, Grid.centered(16, 16.0))
 
+    @pytest.mark.parametrize("n", [49, 98, 103])
+    def test_grid_built_on_the_covering_extent_accepted(self, n):
+        """n * (8 / n) is an ulp short of 8 for these n; the grid that
+        ``Grid.centered(n, 8 sqrt(alpha))`` builds still covers the packet."""
+        grid = Grid.centered(n, 8.0 * np.sqrt(self.params.alpha))
+        assert grid.extent < 8.0 * np.sqrt(self.params.alpha)
+        assert make_gaussian_state(self.params, grid).norm() == pytest.approx(1.0)
+
 
 class TestDensityBlocks:
 

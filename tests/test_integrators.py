@@ -1,7 +1,6 @@
 """Tests for trajectory integrators and ensemble averaging."""
 
 import functools
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
 from mesoncollapse import integrators
-from mesoncollapse.integrators import _merge_moments, _moments
+from mesoncollapse.integrators import (INTEGRATOR_KINDS, _mean_stderr,
+                                      _merge_moments, _moments, _run_chunk)
 from mesoncollapse.master_eq import _hl_diagonal
 from mesoncollapse.noise import (MollifiedNoise, NoisePath, gaussian_factor,
                                  path_generator, window_integrals)
@@ -222,8 +222,8 @@ class TestWongZakai:
         spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
         res = run_ensemble(model, spec, state0, times[-1], 1, seed=21,
                            sample_times=times)
-        path = dict(integrators._exact_path(model, spec, state0.amplitudes,
-                                            n_steps, {12, n_steps},
+        path = list(integrators._exact_path(model, spec, state0.amplitudes,
+                                            n_steps, [12, n_steps],
                                             [path_generator(21, 0)]))
         _, weights = window_integrals(m, times, times[-1], dt)
         z = path_generator(21, 0).standard_normal((2, model.n_channels))
@@ -232,7 +232,7 @@ class TestWongZakai:
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t
                 + 1j * np.sqrt(0.3) * model.field(w_eps[k])), grid)
-            amp = path[int(round(t / dt))][0]
+            amp = path[k][0]
             assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
@@ -286,19 +286,6 @@ class TestWongZakai:
         assert np.all(res.mass_var == 0.0)
         assert np.allclose(res.mass_mean, 0.5, rtol=0.0, atol=1e-14)
 
-    def test_ensemble_deterministic_across_worker_counts(self):
-        params = ModelParams(gamma=0.3, rC=1.0)
-        grid = Grid.centered(32, 8.0)
-        model = build_csl(params, grid)
-        state0 = make_gaussian_state(params, grid, "M0")
-        spec = IntegratorSpec("wong-zakai", 0.01,
-                              mollifier=Mollifier("asymmetric-triangle", 0.04))
-        kwargs = dict(t_max=0.1, n_traj=10, seed=5, n_samples=2, batch_size=4)
-        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
-        b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
-        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-
     def test_ensemble_matches_eps_exact_curve(self):
         """W^eps(t) is Gaussian with variance v(t) = dt sum_k w[t, k]^2 per
         channel, so the mollified mean is the HL-diagonal master equation
@@ -313,8 +300,7 @@ class TestWongZakai:
         m = Mollifier("gaussian", 0.05)
         dt, times = m.eps / 4.0, 0.25 * np.arange(1, 9)
         res = run_ensemble(model, IntegratorSpec("wong-zakai", dt, mollifier=m),
-                           state0, 2.0, 4000, seed=1, sample_times=times,
-                           n_workers=1)
+                           state0, 2.0, 4000, seed=1, sample_times=times)
         _, weights = window_integrals(m, times, 2.0, dt)
         v = dt * np.sum(weights ** 2, axis=1)
         assert np.allclose(times - v, 2.0 * m.eps / np.sqrt(np.pi), atol=1e-4)
@@ -338,8 +324,8 @@ class TestRunEnsemble:
         spec = IntegratorSpec("ito-nonlinear", dt)
         res = run_ensemble(model, spec, state0, 0.5, 1, seed=21,
                            sample_times=times)
-        path = dict(integrators._exact_path(model, spec, state0.amplitudes, 50,
-                                            {20, 50}, [path_generator(21, 0)]))
+        path = list(integrators._exact_path(model, spec, state0.amplitudes, 50,
+                                            [20, 50], [path_generator(21, 0)]))
         rng = path_generator(21, 0)
         cum = np.cumsum(np.abs(state0.amplitudes.reshape(-1)) ** 2)
         xi = np.flatnonzero(cum > rng.random() * cum[-1])[0]
@@ -353,7 +339,7 @@ class TestRunEnsemble:
                 -1j * model.hamiltonian * t
                 + np.sqrt(0.3) * np.einsum("i,inm->nm", y_t, a)
                 - 0.3 * np.sum(a ** 2, axis=0) * t), grid).normalized()
-            amp = GridState(path[int(round(t / dt))][0], grid).normalized()
+            amp = GridState(path[k][0], grid).normalized()
             assert np.max(np.abs(amp.amplitudes - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
@@ -365,7 +351,7 @@ class TestRunEnsemble:
         params, _, model, state0 = qmupl_setup(lam=0.3)
         times = np.array([0.2, 0.5])
         runs = [run_ensemble(model, IntegratorSpec("ito-nonlinear", dt), state0,
-                             0.5, 20, seed=6, sample_times=times, n_workers=1)
+                             0.5, 20, seed=6, sample_times=times)
                 for dt in (1e-2, 1e-4, 1e-9)]
         for run in runs[1:]:
             for name in ("flavor_mean", "mass_mean"):
@@ -408,8 +394,8 @@ class TestRunEnsemble:
         spec = IntegratorSpec(kind, dt)
         res = run_ensemble(model, spec, state0, 0.5, 1, seed=21,
                            sample_times=times)
-        path = dict(integrators._exact_path(model, spec, state0.amplitudes, 50,
-                                            {20, 50}, [path_generator(21, 0)]))
+        path = list(integrators._exact_path(model, spec, state0.amplitudes, 50,
+                                            [20, 50], [path_generator(21, 0)]))
         z = path_generator(21, 0).standard_normal((2, model.n_channels))
         w = np.cumsum(z * np.sqrt(dt * np.array([20, 30]))[:, None], axis=0)
         for k, t in enumerate(times):
@@ -417,7 +403,7 @@ class TestRunEnsemble:
             field = np.einsum("i,inm->nm", w_t, model.channels)
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t + 1j * np.sqrt(0.3) * field), grid)
-            amp = path[int(round(t / dt))][0]
+            amp = path[k][0]
             assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
@@ -439,30 +425,6 @@ class TestRunEnsemble:
                              20, seed=3) for kind in ("ito-linear", "stratonovich"))
         assert np.array_equal(a.flavor_mean, b.flavor_mean)
         assert np.array_equal(a.flavor_stderr, b.flavor_stderr)
-
-    @pytest.mark.parametrize("kind", ["stratonovich", "ito-nonlinear"])
-    def test_csl_deterministic_across_worker_counts(self, kind):
-        params = ModelParams(gamma=0.3, rC=1.0)
-        grid = Grid.centered(32, 8.0)
-        model = build_csl(params, grid)
-        state0 = make_gaussian_state(params, grid, "M0")
-        kwargs = dict(t_max=0.1, n_traj=10, seed=5, n_samples=2, batch_size=4)
-        spec = IntegratorSpec(kind, 0.01)
-        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
-        b = run_ensemble(model, spec, state0, n_workers=2, **kwargs)
-        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-
-    def test_deterministic_across_worker_counts(self):
-        params, _, model, state0 = qmupl_setup(lam=0.2)
-        spec = IntegratorSpec("ito-linear", 0.01)
-        kwargs = dict(t_max=0.5, n_traj=40, seed=4,
-                      sample_times=np.array([0.25, 0.5]), batch_size=10)
-        a = run_ensemble(model, spec, state0, n_workers=1, **kwargs)
-        b = run_ensemble(model, spec, state0, n_workers=4, **kwargs)
-        assert np.array_equal(a.flavor_mean, b.flavor_mean)
-        assert np.array_equal(a.flavor_stderr, b.flavor_stderr)
-        assert np.array_equal(a.mass_mean, b.mass_mean)
 
     def test_same_seed_bit_identical(self):
         params, _, model, state0 = qmupl_setup(lam=0.2)
@@ -495,8 +457,7 @@ class TestRunEnsemble:
         params, _, model, state0 = qmupl_setup(lam=0.3)
         times = np.array([0.2, 0.5])
         means = [run_ensemble(model, IntegratorSpec(kind, dt), state0, 0.5, 20,
-                              seed=6, sample_times=times,
-                              n_workers=1).flavor_mean
+                              seed=6, sample_times=times).flavor_mean
                  for dt in (1e-2, 1e-4, 1e-9)]
         for mean in means[1:]:
             assert np.max(np.abs(mean - means[0])) < 1e-12
@@ -537,13 +498,18 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("kind", ["ito-nonlinear", "wong-zakai"])
     def test_repeated_sample_time_fills_every_slot(self, kind):
+        """A repeated time fills each of its rows, and unsorted times get
+        the rows of the sorted ones, in the order asked for."""
         params, _, model, state0 = qmupl_setup(lam=0.3)
         mollifier = Mollifier("gaussian", 0.04) if kind == "wong-zakai" else None
-        res = run_ensemble(model, IntegratorSpec(kind, 0.01, mollifier=mollifier),
-                           state0, 0.2, 5, seed=2, sample_times=[0.1, 0.1, 0.2])
+        res, unsorted = (
+            run_ensemble(model, IntegratorSpec(kind, 0.01, mollifier=mollifier),
+                         state0, 0.2, 5, seed=2, sample_times=times)
+            for times in ([0.1, 0.1, 0.2], [0.2, 0.1, 0.1]))
         for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
             rows = getattr(res, name)
             assert np.array_equal(rows[0], rows[1])
+            assert np.array_equal(getattr(unsorted, name), rows[[2, 0, 1]])
         assert np.all(res.flavor_mean[0] > 0) and np.all(res.mass_mean[0] > 0)
 
     def test_collapse_from_mass_eigenstate_stays_finite(self):
@@ -587,21 +553,6 @@ class TestRunEnsemble:
             assert abs(float(res.mass_mean[k, 0]) - 0.5) < 3.0 * err + 1e-9
 
 
-class TestResolveWorkers:
-
-    @pytest.mark.parametrize("cores, expected", [(3, 3), (None, 1)])
-    def test_default_is_every_core(self, monkeypatch, cores, expected):
-        monkeypatch.delenv(integrators.WORKERS_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert integrators.resolve_workers() == expected
-
-    def test_argument_then_environment_win(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv(integrators.WORKERS_ENV, "2")
-        assert integrators.resolve_workers() == 2
-        assert integrators.resolve_workers(5) == 5
-
-
 class TestStreamedMoments:
 
     @pytest.mark.parametrize("sizes", [(1000,), (1, 999), (500, 500),
@@ -617,6 +568,29 @@ class TestStreamedMoments:
         assert np.allclose(mean, values.mean(axis=0), rtol=1e-14, atol=0.0)
         expected = np.var(values, axis=0, ddof=1)
         assert np.all(np.abs(m2 / (n - 1) - expected) <= 1e-14 * expected)
+
+    @pytest.mark.parametrize("kind", INTEGRATOR_KINDS)
+    def test_ensemble_is_its_chunks_merged_in_order(self, kind):
+        """10 trajectories run in chunks of 4, 4 and 2: every output is, bit
+        for bit, ``_run_chunk`` of each chunk merged in chunk order."""
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(32, 8.0)
+        model = build_csl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+        mollifier = (Mollifier("asymmetric-triangle", 0.04)
+                     if kind == "wong-zakai" else None)
+        spec = IntegratorSpec(kind, 0.01, mollifier=mollifier)
+        res = run_ensemble(model, spec, state0, 0.1, 10, seed=5, n_samples=2,
+                           batch_size=4)
+        chunks = (_run_chunk(model, spec, state0.amplitudes, 10, [5, 10], 5,
+                             indices)
+                  for indices in (range(0, 4), range(4, 8), range(8, 10)))
+        mean, stderr, var = _mean_stderr(functools.reduce(_merge_moments, chunks))
+        assert np.array_equal(res.flavor_mean, mean[:, :2])
+        assert np.array_equal(res.mass_mean, mean[:, 2:])
+        assert np.array_equal(res.flavor_stderr, stderr[:, :2])
+        assert np.array_equal(res.mass_stderr, stderr[:, 2:])
+        assert np.array_equal(res.mass_var, var[:, 2:])
 
 
 class TestReducedNoise:
@@ -634,10 +608,10 @@ class TestReducedNoise:
         chunks = []
         run_chunk = integrators._run_chunk
 
-        def recording_run_chunk(model, spec, amp0, n_steps, slots, seed,
+        def recording_run_chunk(model, spec, amp0, n_steps, steps, seed,
                                 indices):
             chunks.append((model, indices))
-            return run_chunk(model, spec, amp0, n_steps, slots, seed, indices)
+            return run_chunk(model, spec, amp0, n_steps, steps, seed, indices)
 
         monkeypatch.setattr(integrators, "_run_chunk", recording_run_chunk)
         return chunks
@@ -651,29 +625,22 @@ class TestReducedNoise:
         row = 16 * state0.amplitudes.size
         monkeypatch.setattr(integrators, "MAX_NOISE_BYTES",
                             20 * (8 * 2 * 32 + row))
-        run_chunk = integrators._run_chunk
         chunks = self.record_chunks(monkeypatch)
-        kwargs = dict(t_max=13.0, n_traj=45, seed=9, n_samples=2)
         for dt in (1e-3, 1e-7):
             chunks.clear()
-            a = run_ensemble(model, IntegratorSpec("stratonovich", dt), state0,
-                             n_workers=1, **kwargs)
+            run_ensemble(model, IntegratorSpec("stratonovich", dt), state0,
+                         t_max=13.0, n_traj=45, seed=9, n_samples=2)
             assert [(m.n_channels, idx) for m, idx in chunks] == [
                 (32, range(0, 20)), (32, range(20, 40)), (32, range(40, 45))]
-        monkeypatch.setattr(integrators, "_run_chunk", run_chunk)
-        b = run_ensemble(model, IntegratorSpec("stratonovich", 1e-7), state0,
-                         n_workers=2, **kwargs)
-        for name in ("flavor_mean", "flavor_stderr", "mass_mean", "mass_var"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("kind", ["ito-nonlinear", "stratonovich"])
     def test_chunks_run_on_the_callers_model(self, monkeypatch, kind):
         """Every chunk receives the model object it was given, not a
-        rebuilt one: the process pool pickles what the caller passed."""
+        rebuilt one."""
         model, state0 = self.csl_setup()
         chunks = self.record_chunks(monkeypatch)
         run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.2, 6,
-                     seed=2, n_samples=2, n_workers=1, batch_size=4)
+                     seed=2, n_samples=2, batch_size=4)
         assert len(chunks) == 2
         assert all(m is model for m, _ in chunks)
 
@@ -715,7 +682,7 @@ class TestCslEnsembleProperty:
         state0 = make_gaussian_state(params, grid, "M0")
         times, n_traj = np.array([0.5, 1.5, 3.0]), 400
         res = run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 3.0,
-                           n_traj, seed=seed, sample_times=times, n_workers=1)
+                           n_traj, seed=seed, sample_times=times)
         p_same = me_flavor_probabilities(model, DensityBlocks.from_state(state0),
                                          times, 0.01).p_same
         for mean, p in ((res.flavor_mean[:, 0], p_same), (res.mass_mean[:, 0], 0.5)):
