@@ -12,7 +12,6 @@ the rest vanishes as eps -> 0, symmetric or not.
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -189,17 +188,23 @@ def mollify(path, m, t_grid, t0=0.0):
                           samples=samples, t0=t0)
 
 
-@cache
-def _gauss_legendre():
-    """16-point Gauss-Legendre (nodes, weights) on [-1, 1], built once.
-
-    Built on first use, not at import: ``leggauss`` runs a LAPACK
-    eigensolver whose pages every CLI process would otherwise load.  Its
-    import is deferred too, so ``numpy.polynomial`` (nine modules) loads
-    only in a process that integrates.
-    """
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(16)
+# written out with repr(float), so no process loads numpy.polynomial or runs
+# the eigensolve that rebuilds these 32 numbers
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176])
 
 
 def _panel_quadrature(f, points, max_panel):
@@ -208,7 +213,6 @@ def _panel_quadrature(f, points, max_panel):
     Each interval between breakpoints is split into panels no wider than
     ``max_panel``; the integrand must be smooth inside each interval.
     """
-    nodes, weights = _gauss_legendre()
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         if b <= a:
@@ -217,8 +221,8 @@ def _panel_quadrature(f, points, max_panel):
         edges = np.linspace(a, b, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         total += float(np.dot(w, f(x)))
     return total
 

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from mesoncollapse import DensityBlocks, build_csl
-from mesoncollapse.cli import _SCHEMA, build_parser, main
+from mesoncollapse.cli import _SCHEMA, build_parser, entry, main
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
 
@@ -141,11 +142,11 @@ class TestConfigFile:
     def test_value_outside_its_set_is_config_error(self, command, tmp_path,
                                                    capsys):
         """A file value gets the checks of the same value given as a flag."""
-        for line in ("integrator = foo", "mollifier = foo", "model = foo",
-                     "format = xml", "dim = 2", "order = 3", "seed = -1",
-                     "samples = 0", "dt = nan"):
+        for line in (b"integrator = foo", b"mollifier = foo", b"model = foo",
+                     b"format = xml", b"dim = 2", b"order = 3", b"seed = -1",
+                     b"samples = 0", b"dt = nan", b"seed = 1 \xff\xfe"):
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(line + "\n")
+            cfg.write_bytes(line + b"\n")
             assert run_cli([command, "--config", str(cfg)]) == 2, line
             assert "config error" in capsys.readouterr().err, line
 
@@ -474,6 +475,18 @@ _LOADED_SCRIPT = (
     "      file=sys.stderr)\n"
     "sys.exit(code)\n")
 
+# ``python -m mesoncollapse.cli`` with gc.freeze counted; the command line
+# is sys.argv[1:]
+_FREEZE_COUNT_SCRIPT = (
+    "import gc, runpy, sys\n"
+    "calls, freeze = [], gc.freeze\n"
+    "gc.freeze = lambda: (calls.append(None), freeze())\n"
+    "try:\n"
+    "    runpy.run_module('mesoncollapse.cli', run_name='__main__',\n"
+    "                     alter_sys=True)\n"
+    "finally:\n"
+    "    print('freezes:', len(calls), file=sys.stderr)\n")
+
 # CSL on 96 points: 4 sample segments x 96 channels of normals and one
 # 96 x 2 complex amplitude row fit the noise cap more than 2500 times over,
 # the largest chunk, so 2600 trajectories run as two chunks
@@ -527,6 +540,48 @@ class TestStartup:
             assert "loaded: []" in err
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_theta_check_loads_no_polynomial(self):
+        """The Gauss-Legendre rule is stored, not rebuilt by ``leggauss``."""
+        code, _, err = run_cli_process(
+            ["numpy.polynomial", "theta-check", "--tmax", "1", "--ntraj", "100"],
+            _LOADED_SCRIPT)
+        assert code == 0, err
+        assert "loaded: []" in err
+
+    def test_process_entry_freezes_once_and_main_never(self, monkeypatch,
+                                                       capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+        args = ["exact", "--tmax", "1", "--samples", "2"]
+        assert main(args) == 0
+        assert calls == []
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["mesoncollapse"] + args)
+        assert entry() == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == expected
+        # python -m runs the same entry
+        code, _, err = run_cli_process(args, _FREEZE_COUNT_SCRIPT)
+        assert code == 0, err
+        assert err.strip() == "freezes: 1"
+
+    @pytest.mark.parametrize("args", [
+        ["exact", "--tmax", "1", "--samples", "3"],
+        ["theta-check", "--tmax", "1", "--ntraj", "100"],
+    ], ids=lambda args: args[0])
+    def test_module_entry_prints_the_bytes_of_main(self, args, capsys):
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        code, out, err = run_cli_process(args)
+        assert code == 0, err
+        assert out == expected
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"mesoncollapse": "mesoncollapse.cli:entry"}
 
     def test_theta_check_json_in_fresh_process(self):
         code, out, err = run_cli_process(

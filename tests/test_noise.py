@@ -11,10 +11,10 @@ from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, NoisePath,
                            ParameterError, UnderResolvedKernelError,
                            i_epsilon_monte_carlo, i_epsilon_quadrature,
                            mollify, sample_wiener)
-from mesoncollapse.noise import (MAX_NOISE_BYTES, _merged_breakpoints,
-                                 _panel_quadrature, gaussian_factor,
-                                 mollified_values, path_generator,
-                                 window_integrals)
+from mesoncollapse.noise import (_GL_NODES, _GL_WEIGHTS, MAX_NOISE_BYTES,
+                                 _merged_breakpoints, _panel_quadrature,
+                                 gaussian_factor, mollified_values,
+                                 path_generator, window_integrals)
 
 
 def kernel_autocorrelation(m, s):
@@ -298,6 +298,43 @@ class TestIEpsilonQuadrature:
         m = Mollifier("gaussian", 0.2)
         assert kernel_autocorrelation(m, 0.13) == \
             pytest.approx(kernel_autocorrelation(m, -0.13), abs=1e-12)
+
+
+class TestGaussLegendreTable:
+    """The 16-point rule is stored as literals, not rebuilt per process."""
+
+    def test_table_is_leggauss_16(self):
+        """Within 1 ulp of numpy's rule; bit for bit on numpy 2.4.6, the
+        version the literals were written from."""
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = leggauss(16)
+        for table, reference in ((_GL_NODES, nodes), (_GL_WEIGHTS, weights)):
+            assert table.shape == (16,)
+            ulp = np.spacing(np.abs(reference))
+            assert np.all(np.abs(table - reference) <= ulp)
+            if np.__version__ == "2.4.6":
+                assert table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_integrates_monomials_through_degree_31(self, degree):
+        """Exact for x^k, k <= 2n - 1, up to the rounding of a 16-term sum."""
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        rounding = (16 * np.finfo(float).eps
+                    * np.dot(_GL_WEIGHTS, np.abs(_GL_NODES) ** degree))
+        assert abs(np.dot(_GL_WEIGHTS, _GL_NODES ** degree) - exact) <= rounding
+
+    @pytest.mark.parametrize("kind,expected", [
+        ("gaussian", ("0.4999999999992313", "0.5", "0.5")),
+        ("box", ("0.5", "0.5", "0.5")),
+        ("asymmetric-exponential",
+         ("0.49997730003511875", "0.4999999999999532", "0.5")),
+        ("asymmetric-triangle", ("0.5", "0.5", "0.5")),
+    ])
+    def test_i_epsilon_bytes_unchanged(self, kind, expected):
+        """The digits the rule gave when ``leggauss(16)`` built it per run."""
+        t = 1.0
+        assert tuple(repr(i_epsilon_quadrature(Mollifier(kind, eps), t))
+                     for eps in (t / 10.0, t / 30.0, t / 100.0)) == expected
 
 
 class TestIEpsilonMonteCarlo:
