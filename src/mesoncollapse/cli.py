@@ -26,9 +26,9 @@ from .core import (DensityBlocks, Grid, GridResolutionError,
                    ParameterError, make_gaussian_state)
 from .integrators import (_RESOLUTION, INTEGRATOR_KINDS, IntegratorSpec,
                           run_ensemble)
-from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
-                        flavor_record, me_flavor_probabilities,
-                        require_me_dim)
+from .master_eq import (RECORD_COLUMNS, damping_exponent,
+                        dyson_flavor_probabilities, flavor_record,
+                        me_flavor_probabilities, require_me_dim)
 from .models import CSL, QMUPL, build_csl, build_qmupl
 from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
                     i_epsilon_monte_carlo, i_epsilon_quadrature)
@@ -128,20 +128,6 @@ def _build_params(config):
                        dim=config["dim"])
 
 
-def _build_grid(config):
-    extent = config["grid_extent"]
-    if extent is None:
-        extent = 8.0 * np.sqrt(config["alpha"])
-    return Grid.centered(config["grid_points"], extent)
-
-
-def _build_model(config, params, grid):
-    # the builders are looked up by name at call time, so a rebinding of
-    # them (a timing wrapper, a test spy) is seen
-    build = build_csl if _MODELS[config["model"]] == CSL else build_qmupl
-    return build(params, grid)
-
-
 def _sample_times(config, snap_dt=None):
     """Evenly spaced sample times in (0, tmax], snapped to multiples of dt."""
     try:
@@ -182,7 +168,8 @@ def _emit_table(config, columns, rows, extra_header=()):
         text = "".join("# %s\n" % line for line in _config_lines(config, extra_header))
         text += ",".join(columns) + "\n"
         for row in rows:
-            text += ",".join(_format_cell(cell) for cell in row) + "\n"
+            text += ",".join(cell if isinstance(cell, str) else repr(float(cell))
+                             for cell in row) + "\n"
     else:
         import json  # only the JSON format needs it, so CSV runs skip it
         doc = {
@@ -201,84 +188,81 @@ def _emit_table(config, columns, rows, extra_header=()):
         sys.stdout.write(text)
 
 
-def _format_cell(cell):
-    if isinstance(cell, str):
-        return cell
-    return repr(float(cell))
-
-
-def _record_rows(record):
-    return [(t, ps, po, es, eo, record.source)
-            for t, ps, po, es, eo in zip(record.times, record.p_same,
-                                         record.p_other, record.stderr_same,
-                                         record.stderr_other)]
-
-
-def _emit_record(config, record, extra_header=()):
+def _emit_record(config, record):
     record.validate()
-    _emit_table(config, RECORD_COLUMNS, _record_rows(record), extra_header)
+    series = zip(record.times, record.p_same, record.p_other,
+                 record.stderr_same, record.stderr_other)
+    _emit_table(config, RECORD_COLUMNS, [row + (record.source,) for row in series])
 
 
-def run_exact(config):
+def _require_finite_damping(exponent, t):
+    if not np.isfinite(exponent):
+        raise ParameterError("the damping exponent at t=%g overflows" % t)
+
+
+def _grid_route(config, snap, dim_rule=None):
+    """(model, M0 state, sample times, snapped to dt if ``snap``) of me,
+    dyson, ensemble or compare.  The dim rule, ``dim_rule`` or dim 1, runs
+    before anything is built.  lam max A^2 bounds every damping rate, and
+    the collapse log-weights reach 4 lam max A^2 t: an overflow of that by
+    the last sample time is a config error."""
+    label = _MODELS[config["model"]]
+    if dim_rule is not None:
+        dim_rule(label, config["dim"])
+    elif config["dim"] != 1:
+        raise ParameterError("dyson, ensemble and compare support dim=1"
+                             " only, got dim=%d" % config["dim"])
     params = _build_params(config)
-    record = flavor_record(params, _sample_times(config), _MODELS[config["model"]])
-    _emit_record(config, record)
-    return 0
+    extent = config["grid_extent"] or 8.0 * np.sqrt(config["alpha"])
+    grid = Grid.centered(config["grid_points"], extent)
+    # the builders are looked up by name at call time, so a rebinding of
+    # them (a timing wrapper, a test spy) is seen
+    model = (build_csl if label == CSL else build_qmupl)(params, grid)
+    times = _sample_times(config, config["dt"] if snap else None)
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        rate = (model.coupling * np.max(model.profile_square_sum())
+                * np.max(model.mass_ratio) ** 2)
+        _require_finite_damping(4.0 * rate * times[-1], times[-1])
+    return model, make_gaussian_state(params, grid, "M0"), times
 
 
-def run_me(config):
-    # before anything is built: a rejected dim must not cost the density
-    require_me_dim(_MODELS[config["model"]], config["dim"])
+def _exact_record(config, times):
     params = _build_params(config)
-    grid = _build_grid(config)
-    model = _build_model(config, params, grid)
-    rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
-    times = _sample_times(config, snap_dt=config["dt"])
-    record = me_flavor_probabilities(model, rho0, times, config["dt"],
-                                     dim=params.dim)
-    _emit_record(config, record)
-    return 0
+    label = _MODELS[config["model"]]
+    _require_finite_damping(damping_exponent(params, float(times[-1]), label),
+                            times[-1])
+    return flavor_record(params, times, label)
 
 
-def _ensemble(config):
-    """Set up and run the trajectory ensemble of `ensemble` and `compare`.
+def _me_record(config, model, state, times):
+    return me_flavor_probabilities(model, DensityBlocks.from_state(state),
+                                   times, config["dt"], dim=config["dim"])
 
-    Returns (params, model, initial state, sample times, ensemble record).
-    """
-    params = _build_params(config)
-    if params.dim != 1:
-        raise ParameterError("trajectory ensembles support dim=1 only")
-    grid = _build_grid(config)
-    model = _build_model(config, params, grid)
+
+def _dyson_record(config, model, state, times):
+    return dyson_flavor_probabilities(model, state, times, config["order"])
+
+
+def _ensemble_record(config, model, state, times):
     mollifier = None
     if config["integrator"] == "wong-zakai":
         mollifier = Mollifier(config["mollifier"],
                               config["eps"] or config["tmax"] / 40.0)
     spec = IntegratorSpec(kind=config["integrator"], dt=config["dt"],
                           mollifier=mollifier)
-    times = _sample_times(config, snap_dt=spec.dt)
-    initial = make_gaussian_state(params, grid, "M0")
-    result = run_ensemble(model, spec, initial, float(times[-1]),
-                          config["ntraj"], config["seed"], sample_times=times)
-    return params, model, initial, times, result.to_transition_record(spec.kind)
+    result = run_ensemble(model, spec, state, float(times[-1]),
+                          config["ntraj"], config["seed"], times)
+    return result.to_transition_record(spec.kind)
 
 
-def run_ensemble_cmd(config):
-    _emit_record(config, _ensemble(config)[-1])
-    return 0
-
-
-def run_dyson(config):
-    params = _build_params(config)
-    if params.dim != 1:
-        raise ParameterError("the Dyson series supports dim=1 only")
-    grid = _build_grid(config)
-    model = _build_model(config, params, grid)
-    record = dyson_flavor_probabilities(model,
-                                        make_gaussian_state(params, grid, "M0"),
-                                        _sample_times(config), config["order"])
-    _emit_record(config, record)
-    return 0
+def _record_command(build, **route):
+    """The command that emits ``build(config, ...)`` on ``_grid_route(config,
+    **route)``, or on the sample times alone for no ``route``, and exits 0."""
+    def run(config):
+        args = _grid_route(config, **route) if route else (_sample_times(config),)
+        _emit_record(config, build(config, *args))
+        return 0
+    return run
 
 
 def run_theta_check(config):
@@ -290,9 +274,10 @@ def run_theta_check(config):
     rows = []
     for eps in eps_values:
         m = Mollifier(config["mollifier"], eps)
-        i_eps = i_epsilon_quadrature(m, t)
+        # the Monte Carlo first: it rejects a path too long for the quadrature
         estimate, stderr = i_epsilon_monte_carlo(m, t, config["ntraj"],
                                                  config["seed"])
+        i_eps = i_epsilon_quadrature(m, t)
         rows.append((eps, i_eps, 1.0 - i_eps, estimate, stderr))
     columns = ("eps", "i_epsilon", "theta_zero", "mc_estimate", "mc_stderr")
     _emit_table(config, columns, rows)
@@ -307,11 +292,11 @@ def run_compare(config):
     trajectories on the csl-field bench model) makes a large-ntraj compare
     FAIL by construction.
     """
-    params, model, initial, times, ens = _ensemble(config)
+    model, state, times = _grid_route(config, snap=True)
+    ens = _ensemble_record(config, model, state, times)
     # the closed form after run_ensemble has checked the sample times
-    exact = flavor_record(params, times, _MODELS[config["model"]])
-    me = me_flavor_probabilities(model, DensityBlocks.from_state(initial),
-                                 times, config["dt"])
+    exact = _exact_record(config, times)
+    me = _me_record(config, model, state, times)
 
     rows = []
     all_pass = True
@@ -333,10 +318,10 @@ def run_compare(config):
 
 
 _COMMANDS = {
-    "exact": run_exact,
-    "me": run_me,
-    "ensemble": run_ensemble_cmd,
-    "dyson": run_dyson,
+    "exact": _record_command(_exact_record),
+    "me": _record_command(_me_record, snap=True, dim_rule=require_me_dim),
+    "ensemble": _record_command(_ensemble_record, snap=True),
+    "dyson": _record_command(_dyson_record, snap=False),
     "theta-check": run_theta_check,
     "compare": run_compare,
 }

@@ -105,7 +105,7 @@ class Grid:
     @classmethod
     def centered(cls, n_points, extent):
         """Grid of ``n_points`` covering [-extent/2, extent/2)."""
-        spacing = extent / n_points
+        spacing = extent / max(n_points, 1)     # __post_init__ rejects < 2
         return cls(n_points=n_points, spacing=spacing,
                    origin=-extent / 2.0 + spacing / 2.0)
 

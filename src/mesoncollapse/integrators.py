@@ -73,13 +73,13 @@ def _mass_squares(model):
 def _unitary_exponent(model, t, w):
     """i (sqrt(lam) sum_i A_i w_i - H t): psi_t / psi_0 = exp of it for
     w = W(t) or W^eps(t), the step generator for (dt, dW), shape (..., n, 2)."""
-    return 1j * (np.sqrt(model.effective_coupling) * model.field(w)
+    return 1j * (np.sqrt(model.coupling) * model.field(w)
                  - model.hamiltonian * t)
 
 
 def _em_linear(amp, model, dW, dt):
     """One Euler-Maruyama step of the linear SDE (batched)."""
-    drift = 0.5 * model.effective_coupling * _mass_squares(model) * dt
+    drift = 0.5 * model.coupling * _mass_squares(model) * dt
     return amp * (1.0 + _unitary_exponent(model, dt, dW) - drift)
 
 
@@ -91,7 +91,7 @@ def _collapse_states(model, amp0, y, times):
     where psi_0 != 0, and the others stay exactly 0: no 0/0, no overflow.
     """
     nc = model.n_channels
-    root_lam = np.sqrt(model.effective_coupling)
+    root_lam = np.sqrt(model.coupling)
     flat = amp0.reshape(-1)
     prob = flat.real ** 2 + flat.imag ** 2
     on = prob > 0
@@ -121,7 +121,7 @@ def step_ito_nonlinear(state, model, dW, dt):
     prob = np.abs(state.amplitudes) ** 2
     mean_a = np.einsum("inm,nm->i", model.channels, prob) / prob.sum()
     dy = (np.asarray(dW, dtype=float)
-          + 2.0 * np.sqrt(model.effective_coupling) * dt * mean_a)
+          + 2.0 * np.sqrt(model.coupling) * dt * mean_a)
     amp, = _collapse_states(model, state.amplitudes, dy.reshape(1, 1, -1), [dt])
     return GridState(amp[0], state.grid).normalized()
 
@@ -291,7 +291,7 @@ def _exact_path(model, spec, amp0, n_steps, steps, rngs):
         times = dt * np.array(steps)
         a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
         for w_t, t in zip(w, times):                              # W becomes Y
-            w_t += 2.0 * np.sqrt(model.effective_coupling) * t * a_xi
+            w_t += 2.0 * np.sqrt(model.coupling) * t * a_xi
         yield from _collapse_states(model, amp0, w, times)
         return
     for step, w_t in zip(steps, w):
@@ -312,8 +312,8 @@ def _run_chunk(model, spec, amp0, n_steps, steps, seed, indices):
     return len(indices), mean, m2
 
 
-def run_ensemble(model, spec, initial, t_max, n_traj, seed,
-                 sample_times=None, n_samples=10, batch_size=None):
+def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
+                 batch_size=None):
     """Stream ``n_traj`` trajectories and accumulate their observables.
 
     Each chunk of trajectories reduces to one (n, mean, M2) triple over
@@ -333,8 +333,6 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed,
     n_steps = int(integer_steps(t_max, spec.dt, t_max, message))
     if n_steps < 1:
         raise ParameterError(message)
-    if sample_times is None:
-        sample_times = t_max * np.arange(1, n_samples + 1) / n_samples
     sample_times = np.asarray(sample_times, dtype=float)
     sample_steps = integer_steps(sample_times, spec.dt, max(t_max, spec.dt),
                                  "sample times must be integer multiples of dt")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (IDX_H, IDX_L, DensityBlocks, InvariantViolationError,
                    ParameterError, flavor_to_mass, integer_steps)
-from .models import QMUPL, smearing_self_convolution
+from .models import CSL, QMUPL, smearing_self_convolution
 
 RECORD_COLUMNS = ("time", "p_same", "p_other", "stderr_same", "stderr_other", "source")
 
@@ -90,7 +90,7 @@ def decoherence_rates(model):
     ``_rates`` with K = G^T G, since A_i = G_i r_mu, and the channel
     quadrature measure folded into the coupling.
     """
-    return _rates(model.mass_ratio, model.effective_coupling,
+    return _rates(model.mass_ratio, model.coupling,
                   model.profile.T @ model.profile)
 
 
@@ -100,7 +100,7 @@ def _hl_diagonal_rate(model):
     The x = y diagonal of the HL block of ``decoherence_rates`` in O(nc n).
     """
     r = model.mass_ratio
-    return (0.5 * model.effective_coupling * (r[IDX_H] - r[IDX_L]) ** 2
+    return (0.5 * model.coupling * (r[IDX_H] - r[IDX_L]) ** 2
             * model.profile_square_sum())
 
 
@@ -157,6 +157,14 @@ def evolve_me_csl_exact(rho0, params, t):
     return _evolve(rho0, m, _rates(m / params.m0, params.gamma, gram), t)
 
 
+def damping_exponent(params, t, model_label=QMUPL):
+    """x(t) in the closed-form damping: (1 + x)^(-dim/2) (QMUPL), e^-x (CSL)."""
+    if model_label == QMUPL:
+        return params.lam * params.alpha * params.dm ** 2 * t / (2.0 * params.m0 ** 2)
+    gg0 = float(smearing_self_convolution(params, 0.0, params.dim))
+    return params.gamma * params.dm ** 2 * gg0 / (2.0 * params.m0 ** 2) * t
+
+
 def qmupl_flavor_probabilities(params, t):
     """Exact particle / anti-particle probabilities from an initial M0.
 
@@ -164,8 +172,7 @@ def qmupl_flavor_probabilities(params, t):
     The damping is algebraic; the exponent is dim/2 per spatial dimension.
     """
     t = np.asarray(t, dtype=float)
-    damp = (1.0 + params.lam * params.alpha * params.dm ** 2 * t
-            / (2.0 * params.m0 ** 2)) ** (-params.dim / 2.0)
+    damp = (1.0 + damping_exponent(params, t)) ** (-params.dim / 2.0)
     osc = np.cos(params.dm * t) * damp / 2.0
     return 0.5 + osc, 0.5 - osc
 
@@ -177,9 +184,7 @@ def csl_flavor_probabilities(params, t):
     g*g(0) = (4 pi rC^2)^(-dim/2).  Independent of the spatial profile.
     """
     t = np.asarray(t, dtype=float)
-    gg0 = float(smearing_self_convolution(params, 0.0, params.dim))
-    rate = params.gamma * params.dm ** 2 * gg0 / (2.0 * params.m0 ** 2)
-    osc = np.cos(params.dm * t) * np.exp(-rate * t) / 2.0
+    osc = np.cos(params.dm * t) * np.exp(-damping_exponent(params, t, CSL)) / 2.0
     return 0.5 + osc, 0.5 - osc
 
 

@@ -32,14 +32,12 @@ class CollapseModel:
     profile_data : G itself, (n_channels, n_points), or the (2n - 1,)
         kernel samples g(k dx), k = -(n-1) ... n-1, of a Toeplitz G.
     profile     : (n_channels, n_points) spatial profile G_i(x), read-only;
-        derived from kernel samples on first read and cached, never pickled.
+        derived from kernel samples on first read and cached.
     mass_ratio  : (2,) (mH / m0, mL / m0); channel i is
         A_i(x, mu) = profile[i, x] * mass_ratio[mu].
-    coupling    : lambda (QMUPL) or gamma (CSL).
-    channel_measure : quadrature weight of the channel index; the effective
-        per-channel coupling is coupling * channel_measure.  It is 1 for the
-        discrete QMUPL channels and the grid spacing for the CSL noise field
-        (whose channel index discretizes a continuum).
+    coupling    : per-channel coupling: lambda for the discrete QMUPL
+        channel, gamma dx for the CSL noise field, whose channel index
+        discretizes a continuum with the grid spacing as its measure.
 
     Only the Gram matrix G^T G enters the physics: it is the covariance of
     the noise field sum_i w_i G_i, and the master equation reads nothing
@@ -51,16 +49,11 @@ class CollapseModel:
     profile_data: np.ndarray
     mass_ratio: np.ndarray
     coupling: float
-    channel_measure: float
     grid: object
 
     def __post_init__(self):
         for name in ("hamiltonian", "profile_data", "mass_ratio"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
-
-    def __getstate__(self):
-        # a pickle carries the stored data only, never a derived G
-        return {k: v for k, v in vars(self).items() if k != "profile"}
 
     @cached_property
     def profile(self):
@@ -79,10 +72,6 @@ class CollapseModel:
         if self.profile_data.ndim == 2:
             return self.profile_data.shape[0]
         return self.grid.n_points
-
-    @property
-    def effective_coupling(self):
-        return self.coupling * self.channel_measure
 
     @property
     def channels(self):
@@ -117,8 +106,7 @@ def build_qmupl(params, grid):
     h = build_hamiltonian(params)
     return CollapseModel(label=QMUPL, hamiltonian=h,
                          profile_data=grid.points[None, :],
-                         mass_ratio=h / params.m0, coupling=params.lam,
-                         channel_measure=1.0, grid=grid)
+                         mass_ratio=h / params.m0, coupling=params.lam, grid=grid)
 
 
 def smearing_kernel(params, r):
@@ -138,10 +126,11 @@ def smearing_self_convolution(params, r, dim=1):
 def build_csl(params, grid):
     """Smeared-density model: one channel per grid point of the noise field.
 
-    Channel x_i has profile g(x_i - y) at y; the channel measure is the grid
-    spacing, so that discrete channel sums reproduce the continuum
-    convolution sum_i g(x_i-y) g(x_i-y') dx -> (g*g)(y-y').  On the uniform
-    grid x_i - y = k dx, so the model stores the 2n - 1 samples g(k dx).
+    Channel x_i has profile g(x_i - y) at y; the coupling gamma dx carries
+    the grid spacing as the channel measure, so that discrete channel sums
+    reproduce the continuum convolution sum_i g(x_i-y) g(x_i-y') dx ->
+    (g*g)(y-y').  On the uniform grid x_i - y = k dx, so the model stores
+    the 2n - 1 samples g(k dx).
     """
     if grid.spacing > params.rC / 4.0:
         raise GridResolutionError(
@@ -152,5 +141,5 @@ def build_csl(params, grid):
     g.setflags(write=False)
     h = build_hamiltonian(params)
     return CollapseModel(label=CSL, hamiltonian=h, profile_data=g,
-                         mass_ratio=h / params.m0, coupling=params.gamma,
-                         channel_measure=grid.spacing, grid=grid)
+                         mass_ratio=h / params.m0,
+                         coupling=params.gamma * grid.spacing, grid=grid)

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,25 @@ _UNSUPPORTED_DIMENSIONS = [
      "--tmax", "2", "--samples", "1", "--grid-points", "160",
      "--grid-extent", "16"],
     ["dyson", "--lambda", "0.2", "--dim", "3"],
+]
+
+
+# an empty grid, a quadrature path too long to draw, or a damping exponent
+# that overflows by tmax: config errors, with no warning first
+_EMPTY_GRIDS_AND_OVERFLOWS = [
+    ["me", "--grid-points", "0", "--grid-extent", "8"],
+    ["me", "--grid-points", "0"],
+    ["compare", "--grid-points", "0", "--grid-extent", "8"],
+    ["ensemble", "--grid-points", "0", "--grid-extent", "8"],
+    ["dyson", "--grid-points", "0", "--grid-extent", "8"],
+    ["theta-check", "--tmax", "1e10", "--eps", "1e-300"],
+    ["ensemble", "--alpha", "1e10", "--lambda", "1e300", "--ntraj", "4",
+     "--samples", "2", "--tmax", "0.01", "--dt", "0.01"],
+    ["dyson", "--samples", "2", "--alpha", "1e10", "--lambda", "1e300"],
+    ["me", "--lambda", "1e308", "--samples", "2"],
+    ["exact", "--lambda", "1e308", "--samples", "2"],
+    ["compare", "--lambda", "1e300", "--tmax", "1e10", "--samples", "1",
+     "--dt", "1e9", "--ntraj", "4"],
 ]
 
 
@@ -337,13 +357,15 @@ class TestExitCodes:
          "1e-12", "--samples", "1", "--ntraj", "1", "--grid-points", "32"],
         ["exact", "--model", "csl", "--gamma", "1e307", "--rc", "0.001",
          "--samples", "2"],
-    ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS)
+    ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS
+        + _EMPTY_GRIDS_AND_OVERFLOWS)
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
         on success."""
         code, out, err = run_cli_process(args)
         assert code in (0, 1, 2)
-        if args in _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS:
+        if args in (_OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS
+                    + _EMPTY_GRIDS_AND_OVERFLOWS):
             assert code == 2 and err.startswith("config error:")
             assert out == "" and err.count("\n") == 1
         assert "Traceback" not in err
@@ -357,6 +379,64 @@ class TestExitCodes:
                     if line and not line.startswith("#")][1:]
             assert code == 0 and len(rows) == 1
             assert all(np.isfinite(float(cell)) for cell in rows[0][:5])
+
+
+_CSL_64 = ["--model", "csl", "--gamma", "0.4", "--rc", "1.0",
+           "--grid-points", "64", "--grid-extent", "16"]
+_QMUPL_64 = ["--model", "qmupl", "--lambda", "0.2", "--grid-points", "64"]
+_SMALL_ENSEMBLE = ["--tmax", "1", "--dt", "0.01", "--samples", "3",
+                   "--ntraj", "40", "--seed", "5"]
+
+
+class TestOutputDigests:
+    """The stdout of one small run per command and integrator kind, and of
+    ``--format json``, is pinned by its SHA-256: a change that means to keep
+    the output keeps every byte.
+
+    The digests hold for this numpy build.  To regenerate them, print
+    ``hashlib.sha256(out.encode()).hexdigest()`` for each run; a change of
+    any digest is a change of the CLI output and is declared in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("args,digest", [
+        (["exact"] + _QMUPL_64 + ["--samples", "4"],
+         "89f3c222dec5b7054da262891ca113560b5a99c3bdc74350e676f49537d8fdf7"),
+        (["exact"] + _CSL_64 + ["--dim", "3", "--samples", "4"],
+         "394d14cf76e90525f57e3e3587279fca09a0516d088a67b0276d10a07ab6f415"),
+        (["me"] + _CSL_64 + ["--tmax", "2", "--samples", "4", "--dt", "0.01"],
+         "3a83238f95c722fae085e57f2cea48b753a70952bbda002a77a86ebbf13205d2"),
+        (["me"] + _QMUPL_64 + ["--dim", "3", "--tmax", "2", "--samples", "4",
+                               "--dt", "0.01"],
+         "dfcf1f228521e50d71e04c9b8da2cc112ed6b608e0baf23cfbbda7f5ffa96030"),
+        (["dyson"] + _CSL_64 + ["--tmax", "2", "--samples", "3", "--order", "2"],
+         "56f823f7b491dadd0dbc07428cd776170b4dd3e228ba85c3890c0e62205bac9d"),
+        (["theta-check", "--tmax", "1", "--eps", "0.05", "--ntraj", "200",
+          "--seed", "3"],
+         "808483aa7a8c7436beeaa309de26b1751b7a5e5782d09bc9d470e1d81eb5a22b"),
+        (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
+         + ["--integrator", "ito-nonlinear"],
+         "981611728c99400c50b3dac276874e7561d412b8a2385c6df38af057ac430dc9"),
+        (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
+         + ["--integrator", "ito-linear"],
+         "2dd83512b567c6b91fb89b0dc3951ee082e1e7ce1d859ac53c8ee32031a29a11"),
+        (["ensemble"] + _CSL_64 + _SMALL_ENSEMBLE
+         + ["--integrator", "stratonovich"],
+         "40ea85000ab8244cb5d9b7c4b206cf4a1450d24d045382a6e968c31a0dcd08c9"),
+        (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
+         + ["--integrator", "wong-zakai", "--eps", "0.1"],
+         "bcf03260fae385af765c7a45941e627d57e671859185b8fde58e800d06960a99"),
+        (["compare"] + _CSL_64 + _SMALL_ENSEMBLE
+         + ["--integrator", "ito-nonlinear"],
+         "d9ef196dff346a85e792ff1f0670d45965f018d58c97e0918250767cd1d1d409"),
+        (["compare"] + _QMUPL_64 + _SMALL_ENSEMBLE + ["--format", "json"],
+         "6f40b62cc048851de325bc7638933623d5087a54da6e6c54e377b77ee5d2fd5d"),
+    ], ids=["exact", "exact-csl-dim3", "me-csl", "me-qmupl-dim3", "dyson",
+            "theta-check", "ito-nonlinear", "ito-linear", "stratonovich",
+            "wong-zakai", "compare", "compare-json"])
+    def test_stdout_digest(self, args, digest, capsys):
+        assert run_cli(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOptionTable:

@@ -23,6 +23,11 @@ from mesoncollapse.noise import (MollifiedNoise, NoisePath, gaussian_factor,
                                  path_generator, window_integrals)
 
 
+def even_times(t_max, n=10):
+    """``n`` evenly spaced sample times in (0, t_max]."""
+    return t_max * np.arange(1, n + 1) / n
+
+
 def qmupl_setup(lam=0.2, n=64, extent=16.0):
     params = ModelParams(lam=lam)
     grid = Grid.centered(n, extent)
@@ -273,7 +278,8 @@ class TestWongZakai:
 
         def run(dt):
             spec = IntegratorSpec("wong-zakai", dt, mollifier=m)
-            return run_ensemble(model, spec, state0, 10 * dt, 1, seed=1, n_samples=1)
+            return run_ensemble(model, spec, state0, 10 * dt, 1, seed=1,
+                                sample_times=even_times(10 * dt, 1))
         run(m.eps / 4.0)
         with pytest.raises(UnderResolvedKernelError, match="eps/4"):
             run(m.eps / 4.0 * (1.0 + 1e-9))
@@ -282,7 +288,8 @@ class TestWongZakai:
         params, _, model, state0 = qmupl_setup(lam=0.5)
         spec = IntegratorSpec("wong-zakai", 0.005,
                               mollifier=Mollifier("gaussian", 0.02))
-        res = run_ensemble(model, spec, state0, 1.0, 200, seed=14, n_samples=5)
+        res = run_ensemble(model, spec, state0, 1.0, 200, seed=14,
+                           sample_times=even_times(1.0, 5))
         assert np.all(res.mass_var == 0.0)
         assert np.allclose(res.mass_mean, 0.5, rtol=0.0, atol=1e-14)
 
@@ -414,7 +421,7 @@ class TestRunEnsemble:
         initial mass populations, so their variance is exactly zero."""
         params, _, model, state0 = qmupl_setup(lam=0.5)
         res = run_ensemble(model, IntegratorSpec(kind, 0.005), state0, 1.0,
-                           200, seed=14, n_samples=5)
+                           200, seed=14, sample_times=even_times(1.0, 5))
         assert np.all(res.mass_var == 0.0)
         assert np.all(res.mass_mean == 0.5)
 
@@ -422,22 +429,24 @@ class TestRunEnsemble:
         """Ito and Stratonovich forms of one SDE share one exact solution."""
         params, _, model, state0 = qmupl_setup(lam=0.2)
         a, b = (run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.5,
-                             20, seed=3) for kind in ("ito-linear", "stratonovich"))
+                             20, seed=3, sample_times=even_times(0.5))
+                for kind in ("ito-linear", "stratonovich"))
         assert np.array_equal(a.flavor_mean, b.flavor_mean)
         assert np.array_equal(a.flavor_stderr, b.flavor_stderr)
 
     def test_same_seed_bit_identical(self):
         params, _, model, state0 = qmupl_setup(lam=0.2)
         spec = IntegratorSpec("stratonovich", 0.01)
-        a = run_ensemble(model, spec, state0, 0.5, 30, seed=8)
-        b = run_ensemble(model, spec, state0, 0.5, 30, seed=8)
+        times = even_times(0.5)
+        a = run_ensemble(model, spec, state0, 0.5, 30, seed=8, sample_times=times)
+        b = run_ensemble(model, spec, state0, 0.5, 30, seed=8, sample_times=times)
         assert np.array_equal(a.flavor_mean, b.flavor_mean)
 
     def test_misaligned_tmax_rejected(self):
         params, _, model, state0 = qmupl_setup()
         with pytest.raises(ParameterError):
             run_ensemble(model, IntegratorSpec("ito-linear", 0.01), state0,
-                         0.505, 10, seed=1)
+                         0.505, 10, seed=1, sample_times=even_times(0.505))
 
     @pytest.mark.parametrize("dt,t_max", [(5e-324, 1.0), (1e-300, 1.0),
                                           (1e-3, 1e300)],
@@ -447,7 +456,8 @@ class TestRunEnsemble:
         with pytest.raises(ParameterError,
                            match="is not an integer number of steps"):
             run_ensemble(model, IntegratorSpec("ito-linear", dt), state0,
-                         np.float64(t_max), 1, seed=1, n_samples=2)
+                         np.float64(t_max), 1, seed=1,
+                         sample_times=even_times(np.float64(t_max), 2))
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_independent_of_dt(self, kind):
@@ -518,7 +528,7 @@ class TestRunEnsemble:
         params, grid, model, _ = qmupl_setup(lam=200.0)
         state0 = make_gaussian_state(params, grid, "H")
         res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.05), state0,
-                           2.0, 50, seed=4, n_samples=4)
+                           2.0, 50, seed=4, sample_times=even_times(2.0, 4))
         for name in ("flavor_mean", "flavor_stderr", "mass_mean",
                      "mass_stderr", "mass_var"):
             assert np.all(np.isfinite(getattr(res, name)))
@@ -547,7 +557,8 @@ class TestRunEnsemble:
     def test_mass_populations_constant(self):
         params, _, model, state0 = qmupl_setup(lam=0.4)
         res = run_ensemble(model, IntegratorSpec("ito-nonlinear", 0.005),
-                           state0, 1.0, 200, seed=14, n_samples=5)
+                           state0, 1.0, 200, seed=14,
+                           sample_times=even_times(1.0, 5))
         for k in range(res.times.size):
             err = max(float(res.mass_stderr[k, 0]), 1e-6)
             assert abs(float(res.mass_mean[k, 0]) - 0.5) < 3.0 * err + 1e-9
@@ -580,8 +591,8 @@ class TestStreamedMoments:
         mollifier = (Mollifier("asymmetric-triangle", 0.04)
                      if kind == "wong-zakai" else None)
         spec = IntegratorSpec(kind, 0.01, mollifier=mollifier)
-        res = run_ensemble(model, spec, state0, 0.1, 10, seed=5, n_samples=2,
-                           batch_size=4)
+        res = run_ensemble(model, spec, state0, 0.1, 10, seed=5,
+                           sample_times=even_times(0.1, 2), batch_size=4)
         chunks = (_run_chunk(model, spec, state0.amplitudes, 10, [5, 10], 5,
                              indices)
                   for indices in (range(0, 4), range(4, 8), range(8, 10)))
@@ -629,7 +640,8 @@ class TestReducedNoise:
         for dt in (1e-3, 1e-7):
             chunks.clear()
             run_ensemble(model, IntegratorSpec("stratonovich", dt), state0,
-                         t_max=13.0, n_traj=45, seed=9, n_samples=2)
+                         t_max=13.0, n_traj=45, seed=9,
+                         sample_times=even_times(13.0, 2))
             assert [(m.n_channels, idx) for m, idx in chunks] == [
                 (32, range(0, 20)), (32, range(20, 40)), (32, range(40, 45))]
 
@@ -640,7 +652,7 @@ class TestReducedNoise:
         model, state0 = self.csl_setup()
         chunks = self.record_chunks(monkeypatch)
         run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.2, 6,
-                     seed=2, n_samples=2, batch_size=4)
+                     seed=2, sample_times=even_times(0.2, 2), batch_size=4)
         assert len(chunks) == 2
         assert all(m is model for m, _ in chunks)
 
