@@ -248,6 +248,13 @@ def _ensemble_record(config, model, state, times):
     if config["integrator"] == "wong-zakai":
         mollifier = Mollifier(config["mollifier"],
                               config["eps"] or config["tmax"] / 40.0)
+    elif config["integrator"] == "ito-nonlinear":
+        # the collapse log-weights' coefficient -2 lam t, formed as
+        # ``_collapse_states`` forms it: it can overflow where the rate bound
+        # of ``_grid_route`` does not
+        with np.errstate(over="ignore"):                  # rejected at once
+            _require_finite_damping(
+                2.0 * np.sqrt(model.coupling) ** 2 * times[-1], times[-1])
     spec = IntegratorSpec(kind=config["integrator"], dt=config["dt"],
                           mollifier=mollifier)
     result = run_ensemble(model, spec, state, float(times[-1]),

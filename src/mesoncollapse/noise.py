@@ -10,7 +10,10 @@ through the kernel's CDF): the 1/2 is exact for every unit-mass kernel, and
 the rest vanishes as eps -> 0, symmetric or not.
 """
 
+import functools
 import math
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +78,37 @@ def path_generator(seed, stream=None):
     independent and reproducible regardless of generation order.
     """
     entropy = (int(seed),) if stream is None else (int(seed), int(stream))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    npr = _numpy_random()
+    return npr.Generator(npr.Philox(npr.SeedSequence(entropy)))
+
+
+@functools.cache
+def _numpy_random():
+    """numpy.random, imported without OpenSSL when this process loads it first.
+
+    numpy.random.bit_generator takes only ``randbits`` from ``secrets``, to
+    seed a generator made without a seed; ``secrets`` imports ``hmac``, which
+    loads ``_hashlib`` and OpenSSL, about 3.7 MB of RSS.  For the import a
+    stand-in ``secrets`` holds ``randbits = SystemRandom().getrandbits``,
+    the definition in ``secrets``, so unseeded entropy still comes from
+    os.urandom; it is removed at once, and a later ``import secrets`` gets
+    the real module.  With numpy.random or secrets already loaded, or if a
+    numpy wants more of ``secrets`` (ImportError), the import is plain.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return np.random
+    import random
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random
+    except ImportError:
+        pass
+    finally:
+        del sys.modules["secrets"]
+    import numpy.random   # a lookup after the import above, else the retry
+    return numpy.random
 
 
 def sample_wiener(seed, dt, n_steps, n_channels=1):

@@ -15,6 +15,7 @@ import pytest
 
 from mesoncollapse import DensityBlocks, build_csl
 from mesoncollapse.cli import _SCHEMA, build_parser, entry, main
+from mesoncollapse.integrators import INTEGRATOR_KINDS
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
 
@@ -84,6 +85,11 @@ _EMPTY_GRIDS_AND_OVERFLOWS = [
     ["exact", "--lambda", "1e308", "--samples", "2"],
     ["compare", "--lambda", "1e300", "--tmax", "1e10", "--samples", "1",
      "--dt", "1e9", "--ntraj", "4"],
+    # lam max A^2 t is finite, but the collapse log-weights' -2 lam t is not
+    ["ensemble", "--alpha", "1e-100", "--lambda", "1e300", "--tmax", "1e10",
+     "--dt", "1e9", "--samples", "1", "--ntraj", "4", "--grid-points", "32"],
+    ["compare", "--alpha", "1e-100", "--lambda", "1e300", "--tmax", "1e10",
+     "--dt", "1e9", "--samples", "1", "--ntraj", "4", "--grid-points", "32"],
 ]
 
 
@@ -620,6 +626,21 @@ class TestStartup:
             assert "loaded: []" in err
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("args", [
+        ["theta-check", "--tmax", "1", "--ntraj", "100"],
+    ] + [["compare", "--tmax", "0.1", "--dt", "0.01", "--samples", "2",
+          "--ntraj", "4", "--grid-points", "32", "--eps", "0.04",
+          "--integrator", kind] for kind in INTEGRATOR_KINDS],
+        ids=lambda args: args[-1] if args[0] == "compare" else args[0])
+    def test_noise_draws_load_no_openssl(self, args):
+        """numpy.random loads, but not the ``secrets`` it imports for
+        unseeded generators, nor hmac and OpenSSL behind it."""
+        modules = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+        code, _, err = run_cli_process([",".join(modules)] + args,
+                                       _LOADED_SCRIPT)
+        assert code == 0, err
+        assert "loaded: ['numpy.random']" in err
 
     def test_theta_check_loads_no_polynomial(self):
         """The Gauss-Legendre rule is stored, not rebuilt by ``leggauss``."""

@@ -1,7 +1,11 @@
 """Tests for Wiener paths, mollifiers, and the autocorrelation integral."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, NoisePath,
                            i_epsilon_monte_carlo, i_epsilon_quadrature,
                            mollify, sample_wiener)
 from mesoncollapse.noise import (_GL_NODES, _GL_WEIGHTS, MAX_NOISE_BYTES,
-                                 _merged_breakpoints, _panel_quadrature,
+                                 _merged_breakpoints, _numpy_random,
+                                 _panel_quadrature,
                                  gaussian_factor, mollified_values,
                                  path_generator, window_integrals)
 
@@ -93,6 +98,76 @@ class TestSampleWiener:
         path_generator(5, 3).normal(size=4)  # interleaved draw
         b = path_generator(5, 7).normal(size=4)
         assert np.array_equal(a, b)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# numpy.random's ``secrets`` import and what it loads, OpenSSL's _hashlib last
+_OPENSSL_MODULES = ("secrets", "hmac", "hashlib", "_hashlib")
+
+# three normals of stream (1, 2), printed as a list repr
+_DRAW = ("from mesoncollapse.noise import path_generator\n"
+         "print(path_generator(1, 2).standard_normal(3).tolist())\n")
+
+# before numpy.random.bit_generator loads, takes ``randbits`` off a stand-in
+# ``secrets`` (one without ``token_hex``), as a numpy that wants more of
+# secrets would find it short
+_STRIP_RANDBITS = (
+    "import sys\n"
+    "class Strip:\n"
+    "    fired = False\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        secrets = sys.modules.get('secrets')\n"
+    "        if (name == 'numpy.random.bit_generator' and secrets is not None\n"
+    "                and not hasattr(secrets, 'token_hex')):\n"
+    "            del secrets.randbits\n"
+    "            Strip.fired = True\n"
+    "sys.meta_path.insert(0, Strip())\n")
+
+
+def run_script(script):
+    """Stdout of ``script`` in a fresh interpreter that imports the package
+    from ``src``; the script must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestNumpyRandomImport:
+    """numpy.random is imported under a stand-in ``secrets``, so a process
+    that draws noise loads no OpenSSL; the streams are those of a plain
+    import."""
+
+    def test_draw_loads_no_openssl_and_secrets_stays_real(self):
+        draws, loaded, real, fresh = run_script(
+            "import sys\n" + _DRAW
+            + "print([m for m in %r if m in sys.modules])\n" % (_OPENSSL_MODULES,)
+            + "import secrets\n"
+            "print(hasattr(secrets, 'token_hex'))\n"
+            "import numpy as np\n"
+            "a, b = (np.random.SeedSequence().entropy for _ in range(2))\n"
+            "print(a != b and a.bit_length() > 64)\n")
+        assert draws == repr(path_generator(1, 2).standard_normal(3).tolist())
+        assert loaded == "[]"
+        assert real == "True"     # a later import gets the real module
+        assert fresh == "True"    # unseeded entropy is still drawn
+
+    def test_loaded_secrets_is_left_alone(self):
+        import secrets
+        _numpy_random.cache_clear()
+        assert _numpy_random() is np.random
+        assert sys.modules["secrets"] is secrets
+
+    def test_stand_in_that_falls_short_falls_back_to_a_plain_import(self):
+        draws, fired, loaded = run_script(
+            _STRIP_RANDBITS + _DRAW + "print(Strip.fired)\n"
+            "print(hasattr(sys.modules['secrets'], 'token_hex'))\n")
+        assert draws == repr(path_generator(1, 2).standard_normal(3).tolist())
+        assert fired == "True"
+        assert loaded == "True"   # the retry imported the real secrets
 
 
 class TestMollifier:
