@@ -129,7 +129,8 @@ def _build_params(config):
 
 
 def _sample_times(config, snap_dt=None):
-    """Evenly spaced sample times in (0, tmax], snapped to multiples of dt."""
+    """Evenly spaced sample times in (0, tmax], snapped to multiples of dt;
+    times that round to 0 or to an earlier time are dropped."""
     try:
         steps = np.arange(1, config["samples"] + 1)
     except ValueError:                   # numpy: "array is too big"
@@ -145,12 +146,11 @@ def _sample_times(config, snap_dt=None):
         raise ParameterError("tmax=%g in %d samples (dt=%s) gives a non-finite"
                              " sample time" % (config["tmax"], config["samples"],
                                                snap_dt))
-    if snap_dt is not None:
-        # a set, not np.unique: its first call imports numpy.ma
-        times = np.array(sorted(set(times[times > 0].tolist())))
-        if times.size == 0:
-            raise ParameterError("tmax=%g is below one step dt=%g"
-                                 % (config["tmax"], snap_dt))
+    # the distinct times > 0, from a set: np.unique imports numpy.ma
+    times = np.array(sorted(set(times[times > 0].tolist())))
+    if times.size == 0:                  # only a snap to dt can leave none
+        raise ParameterError("tmax=%g is below one step dt=%g"
+                             % (config["tmax"], snap_dt))
     return times
 
 
@@ -248,13 +248,6 @@ def _ensemble_record(config, model, state, times):
     if config["integrator"] == "wong-zakai":
         mollifier = Mollifier(config["mollifier"],
                               config["eps"] or config["tmax"] / 40.0)
-    elif config["integrator"] == "ito-nonlinear":
-        # the collapse log-weights' coefficient -2 lam t, formed as
-        # ``_collapse_states`` forms it: it can overflow where the rate bound
-        # of ``_grid_route`` does not
-        with np.errstate(over="ignore"):                  # rejected at once
-            _require_finite_damping(
-                2.0 * np.sqrt(model.coupling) ** 2 * times[-1], times[-1])
     spec = IntegratorSpec(kind=config["integrator"], dt=config["dt"],
                           mollifier=mollifier)
     result = run_ensemble(model, spec, state, float(times[-1]),

@@ -118,23 +118,9 @@ class Grid:
         return self.origin + self.spacing * np.arange(self.n_points)
 
 
-# bytes of one row slab of a DensityBlocks Hermiticity check; smaller slabs
-# cost time (on 640 points 2**16 took 28 ms and 2**18 took 20 ms)
-_SLAB_BYTES = 2 ** 18
-
-
 def _frozen_array(a, dtype):
-    """``a`` as a read-only ndarray of ``dtype``.
-
-    An ndarray of that dtype that is read-only down to the memory it owns is
-    returned as is; anything else is copied and frozen, so a caller's
-    writeable array is never frozen or aliased.
-    """
-    base = a
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is None and isinstance(a, np.ndarray) and a.dtype == dtype:
-        return a
+    """A read-only copy of ``a`` as an ndarray of ``dtype``: a caller's array
+    is never frozen or aliased."""
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -218,14 +204,11 @@ def _projector_hl_diagonal(amp, dx):
 class DensityBlocks:
     """Averaged density matrix rho^{mu nu}(x, y), read as (2, 2, n, n) ``blocks``.
 
-    ``DensityBlocks(blocks, grid)`` holds the blocks in one read-only array.
-    A read-only complex array that owns its memory is kept without a copy, so
-    a caller that builds a fresh array freezes it (``setflags(write=False)``)
-    before handing it over.  ``from_state`` holds a pure state's (n, 2)
-    ``amplitudes`` instead: its ``blocks`` are built on first read and
-    cached, and ``trace``, ``hl_diagonal`` and ``validate`` read the
-    amplitudes, so the grid ME and the Dyson series never build the n^2
-    projector.  Equality is identity.
+    ``DensityBlocks(blocks, grid)`` holds a read-only copy of the blocks.
+    ``from_state`` holds a pure state's (n, 2) ``amplitudes`` instead: its
+    ``blocks`` are built on first read and cached, and ``trace``,
+    ``hl_diagonal`` and ``validate`` read the amplitudes, so the grid ME and
+    the Dyson series never build the n^2 projector.  Equality is identity.
     """
 
     grid: Grid
@@ -271,20 +254,9 @@ class DensityBlocks:
         return np.diagonal(self.blocks[IDX_H, IDX_L]) * self.grid.spacing
 
     def hermiticity_defect(self):
-        """max |rho^{mu nu}(x,y) - conj(rho^{nu mu}(y,x))|.
-
-        The (nu, mu) entries repeat the (mu, nu) ones in absolute value, so
-        only mu <= nu is visited, in row slabs of about _SLAB_BYTES: the check
-        never allocates an array of the density's size.
-        """
+        """max |rho^{mu nu}(x,y) - conj(rho^{nu mu}(y,x))| over all four blocks."""
         b = self.blocks
-        n = self.grid.n_points
-        rows = max(1, _SLAB_BYTES // (b.itemsize * n))
-        worst = [np.max(np.abs(b[mu, nu, x:x + rows]
-                               - np.conj(b[nu, mu, :, x:x + rows].T)))
-                 for mu, nu in ((0, 0), (0, 1), (1, 1))
-                 for x in range(0, n, rows)]
-        return float(np.max(worst))
+        return float(np.max(np.abs(b - np.conj(b.transpose(1, 0, 3, 2)))))
 
     def validate(self, tol=1e-9):
         """Check Hermiticity and a unit trace.  A projector is Hermitian by

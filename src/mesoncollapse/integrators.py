@@ -341,6 +341,14 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
 
     # distinct steps from a set: np.unique imports numpy.ma on its first call
     steps = sorted(set(sample_steps.tolist()))
+    if spec.kind == "ito-nonlinear":
+        # the collapse log-weights' coefficient -2 lam t, formed as
+        # ``_collapse_states`` forms it, at the last sample time
+        t = spec.dt * max(steps, default=0)
+        with np.errstate(over="ignore"):                  # rejected at once
+            coefficient = 2.0 * np.sqrt(model.coupling) ** 2 * t
+        if not np.isfinite(coefficient):
+            raise ParameterError("the damping exponent at t=%g overflows" % t)
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
         # so the reduction order: n_channels normals per sample time and one

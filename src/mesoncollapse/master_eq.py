@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (IDX_H, IDX_L, DensityBlocks, InvariantViolationError,
-                   ParameterError, flavor_to_mass, integer_steps)
+                   ParameterError, _frozen_array, flavor_to_mass, integer_steps)
 from .models import CSL, QMUPL, smearing_self_convolution
 
 RECORD_COLUMNS = ("time", "p_same", "p_other", "stderr_same", "stderr_other", "source")
@@ -36,9 +36,7 @@ class TransitionRecord:
 
     def __post_init__(self):
         for name in ("times", "p_same", "p_other", "stderr_same", "stderr_other"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
 
     def validate(self, tol=1e-9):
         total = self.p_same + self.p_other
@@ -113,9 +111,7 @@ def _phase_rates(hamiltonian):
 def _evolve(rho0, hamiltonian, rate, t, series=np.exp):
     """rho0 * series(-rate t) * exp(-i(m_mu - m_nu) t), entry by entry."""
     phase = np.exp(_phase_rates(hamiltonian)[:, :, None, None] * t)
-    blocks = rho0.blocks * series(-rate * t) * phase
-    blocks.setflags(write=False)
-    return DensityBlocks(blocks, rho0.grid)
+    return DensityBlocks(rho0.blocks * series(-rate * t) * phase, rho0.grid)
 
 
 def evolve_me_numeric(rho0, model, t, dt):

@@ -138,7 +138,6 @@ def build_csl(params, grid):
             % (grid.spacing, params.rC / 4.0))
     n = grid.n_points
     g = smearing_kernel(params, grid.spacing * np.arange(1 - n, n))
-    g.setflags(write=False)
     h = build_hamiltonian(params)
     return CollapseModel(label=CSL, hamiltonian=h, profile_data=g,
                          mass_ratio=h / params.m0,

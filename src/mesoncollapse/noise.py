@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, _frozen_array
 
 MOLLIFIER_KINDS = ("gaussian", "box", "asymmetric-exponential", "asymmetric-triangle")
 
@@ -58,9 +58,7 @@ class NoisePath:
     increments: np.ndarray
 
     def __post_init__(self):
-        inc = np.array(self.increments, dtype=float)
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
+        object.__setattr__(self, "increments", _frozen_array(self.increments, float))
 
     @property
     def n_steps(self):

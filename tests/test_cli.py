@@ -1,20 +1,25 @@
 """Tests for the command-line experiment runner."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesoncollapse import DensityBlocks, build_csl
-from mesoncollapse.cli import _SCHEMA, build_parser, entry, main
+from mesoncollapse.cli import _COMMANDS, _SCHEMA, build_parser, entry, main
 from mesoncollapse.integrators import INTEGRATOR_KINDS
 from mesoncollapse.master_eq import RECORD_COLUMNS
 
@@ -131,6 +136,18 @@ class TestExact:
         assert doc["columns"] == list(RECORD_COLUMNS)
         assert len(doc["rows"]) == 2
         assert doc["config"]["tmax"] == 1.0
+
+    @pytest.mark.parametrize("args", [
+        ["exact", "--tmax", "5e-324", "--samples", "3"],
+        ["dyson", "--tmax", "5e-324", "--samples", "3", "--grid-points", "32"],
+    ])
+    def test_sample_times_are_distinct_and_positive(self, args, capsys):
+        """tmax k / 3 underflows to 0 or repeats 5e-324: unsnapped times
+        keep the distinct ones > 0, as times snapped to dt do."""
+        assert run_cli(args) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")][1:]
+        assert [float(row[0]) for row in rows] == [5e-324]
 
 
 class TestDeterminism:
@@ -385,6 +402,91 @@ class TestExitCodes:
                     if line and not line.startswith("#")][1:]
             assert code == 0 and len(rows) == 1
             assert all(np.isfinite(float(cell)) for cell in rows[0][:5])
+
+
+# drawn values of the size keys stay at most this, so one run takes well
+# under a second; their defaults (128 points, 1000 trajectories, 10 samples)
+# still run when the key is not drawn
+_CAPS = {"grid_points": 64, "ntraj": 150, "samples": 3}
+
+# the sign rules' boundaries (+-0 and the subnormal +-5e-324), the float
+# range's edges and a few ordinary values; ints add the int64 edge 2**63
+_FLOAT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                 -1.0, 0.2, 1.0, 8.0)
+_INT_VALUES = (-1, 0, 1, 2, 2 ** 63 - 1, 2 ** 63)
+
+
+def _schema_values(key):
+    """Values of one config key, built from its ``_SCHEMA`` row: every
+    allowed choice, or boundary values of its type and sign rule."""
+    kind, default, allowed, _ = _SCHEMA[key]
+    if isinstance(allowed, tuple):
+        return st.sampled_from(allowed)
+    if kind is float:
+        return st.sampled_from(_FLOAT_VALUES + ((default,) if default else ()))
+    if key in _CAPS:
+        return st.sampled_from((-1, 0, 1, 2, _CAPS[key]))
+    return st.sampled_from(_INT_VALUES)
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, {key: value}, write to --out?) over 1-6 keys of the table."""
+    keys = draw(st.lists(st.sampled_from([k for k in _SCHEMA if k != "out"]),
+                         min_size=1, max_size=6, unique=True))
+    return (draw(st.sampled_from(list(_COMMANDS))),
+            {key: draw(_schema_values(key)) for key in keys},
+            draw(st.booleans()))
+
+
+def _cells(text, fmt):
+    """Every cell of a CSV or JSON table that is a number."""
+    if fmt == "json":
+        return [c for row in json.loads(text)["rows"] for c in row
+                if not isinstance(c, str)]
+    cells = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:              # the header, a source or verdict
+                pass
+    return cells
+
+
+class TestExitContractProperty:
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=_cli_runs())
+    def test_every_config_keeps_the_exit_contract(self, run):
+        """0, 1 or 2 from ``main`` for any command and keys of the table:
+        no exception and no warning; finite cells on 0; on 2 one
+        ``config error:`` line and no output file."""
+        command, values, to_file = run
+        argv = [command] + ["--%s=%s" % (key.replace("_", "-"), value)
+                            for key, value in values.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.txt"
+            if to_file:
+                argv.append("--out=%s" % path)
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+            text = path.read_text() if path.exists() else out.getvalue()
+        assert code in (0, 1, 2), argv
+        assert caught == [], (argv, [str(w.message) for w in caught])
+        if code == 0:
+            fmt = values.get("format", "csv")
+            assert all(math.isfinite(c) for c in _cells(text, fmt)), argv
+        if code == 2:
+            assert err.getvalue().startswith("config error:"), argv
+            assert err.getvalue().count("\n") == 1, argv
+            assert text == "", argv
 
 
 _CSL_64 = ["--model", "csl", "--gamma", "0.4", "--rc", "1.0",

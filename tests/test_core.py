@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +10,11 @@ from hypothesis import given, strategies as st
 from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            GridState, InvariantViolationError, ModelParams,
                            ParameterError, flavor_to_mass, make_gaussian_state)
-from mesoncollapse import build_csl, core
+from mesoncollapse import build_csl
 from mesoncollapse.core import IDX_H, IDX_L
 from mesoncollapse.master_eq import (dyson_flavor_probabilities,
                                      me_flavor_probabilities)
+from mesoncollapse.models import CSL, CollapseModel
 
 INV_SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -209,40 +209,14 @@ class TestDensityBlocks:
             tracemalloc.stop()
         assert peak <= 1.05 * rho.blocks.nbytes
 
-    def test_explicit_density_validates_in_slabs(self):
-        """An explicit 640-point density is checked without a second array
-        of its size: the Hermiticity scan runs in slabs."""
-        amp = make_gaussian_state(ModelParams(), Grid.centered(640, 64.0)).amplitudes
-        tracemalloc.start()
-        try:
-            blocks = np.einsum("xm,yn->mnxy", amp, np.conj(amp))
-            blocks.setflags(write=False)
-            rho = DensityBlocks(blocks, Grid.centered(640, 64.0)).validate()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rho.blocks is blocks
-        assert peak <= 1.05 * blocks.nbytes
-
-    @given(n=st.integers(2, 40), slab_bytes=st.integers(1, 4096),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_hermiticity_defect_equals_full_difference(self, n, slab_bytes, seed):
-        """Row slabs of any size, including n not a multiple of the slab
-        rows, give the whole-array maximum bit for bit."""
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hermiticity_defect_equals_full_difference(self, n, seed):
+        """The whole-array maximum over all four blocks, bit for bit."""
         rng = np.random.default_rng(seed)
         b = rng.normal(size=(2, 2, n, n)) + 1j * rng.normal(size=(2, 2, n, n))
         rho = DensityBlocks(b, Grid.centered(n, 16.0))
         full = np.max(np.abs(b - np.conj(np.transpose(b, (1, 0, 3, 2)))))
-        with mock.patch.object(core, "_SLAB_BYTES", slab_bytes):
-            assert rho.hermiticity_defect() == full
         assert rho.hermiticity_defect() == full
-
-    def test_hermiticity_defect_with_several_default_slabs(self):
-        n = 300                            # 54 rows per slab: a ragged last slab
-        rng = np.random.default_rng(5)
-        b = rng.normal(size=(2, 2, n, n)) + 1j * rng.normal(size=(2, 2, n, n))
-        full = np.max(np.abs(b - np.conj(np.transpose(b, (1, 0, 3, 2)))))
-        assert DensityBlocks(b, Grid.centered(n, 16.0)).hermiticity_defect() == full
 
     @pytest.mark.parametrize("defect", ["hermiticity", "trace", "nan"])
     def test_validate_rejects_broken_density(self, defect):
@@ -269,11 +243,28 @@ class TestDensityBlocks:
         view.setflags(write=False)          # read-only, but arr can still change it
         assert not np.shares_memory(arr, DensityBlocks(view, grid).blocks)
 
-    def test_frozen_fresh_array_is_kept(self):
+    @pytest.mark.parametrize("store,shape,dtype", [
+        ("density", (2, 2, 8, 8), complex), ("state", (8, 2), complex),
+        ("model", (15,), float)], ids=["density", "state", "model"])
+    def test_frozen_fresh_array_is_copied(self, store, shape, dtype):
+        """A read-only array that owns its memory is stored as a read-only
+        copy too, so no stored array is shared with its caller."""
         grid = Grid.centered(8, 16.0)
-        arr = np.zeros((2, 2, 8, 8), dtype=complex)
-        arr.setflags(write=False)
-        assert DensityBlocks(arr, grid).blocks is arr
+        arr = np.arange(np.prod(shape), dtype=dtype).reshape(shape).copy()
+        arr.setflags(write=False)                   # read-only, owns its memory
+        assert arr.base is None
+        if store == "density":
+            kept = DensityBlocks(arr, grid).blocks
+        elif store == "state":
+            kept = GridState(arr, grid).amplitudes
+        else:
+            kept = CollapseModel(label=CSL, hamiltonian=(1.5, 0.5),
+                                 profile_data=arr, mass_ratio=(1.5, 0.5),
+                                 coupling=0.1, grid=grid).profile_data
+        assert kept is not arr
+        assert not np.shares_memory(kept, arr)
+        assert not kept.flags.writeable
+        assert kept.tobytes() == arr.tobytes()
 
     def test_equality_is_identity(self):
         grid = Grid.centered(8, 16.0)

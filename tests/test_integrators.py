@@ -459,6 +459,25 @@ class TestRunEnsemble:
                          np.float64(t_max), 1, seed=1,
                          sample_times=even_times(np.float64(t_max), 2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_collapse_coefficient_rejected(self, monkeypatch):
+        """lam max A^2 t is finite here, but the collapse log-weights'
+        -2 lam t at the last sample time is not: a ParameterError before
+        any draw, not a NaN mean after RuntimeWarnings."""
+        params = ModelParams(lam=1e300, alpha=1e-100)
+        grid = Grid.centered(32, 8e-50)
+        model = build_qmupl(params, grid)
+        state0 = make_gaussian_state(params, grid, "M0")
+
+        def no_draws(*args):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(integrators, "path_generator", no_draws)
+        with pytest.raises(ParameterError,
+                           match="the damping exponent at t=1e\\+10 overflows"):
+            run_ensemble(model, IntegratorSpec("ito-nonlinear", 1e9), state0,
+                         1e10, 4, seed=1, sample_times=[1e10])
+
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_independent_of_dt(self, kind):
         """W is drawn only at the sample times, so the step size drops out:
