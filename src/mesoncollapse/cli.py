@@ -1,12 +1,12 @@
 """Experiment runner: exact / ME / ensemble / Dyson / theta-check / compare.
 
 Configuration is a flat ``key = value`` text file plus command-line flags
-(flags win).  Every key is declared once, in ``_SCHEMA``, with its type,
-default, allowed values or sign rule and help text; the ``--key`` flags are
-generated from it, and a value is checked the same way whether it came from
-a file or a flag.  ``seed`` must be >= 0.  Every output file embeds the fully
-resolved configuration in a comment header, so identical config + seed
-gives byte-identical output.
+(flags win), given before or after the command.  Every key is declared
+once, in ``_SCHEMA``, with its type, default, allowed values or sign rule
+and help text; ``_value`` types a value and ``resolve_config`` checks it
+the same way whether it came from a file or a flag.  ``seed`` must be >= 0.
+Every output file embeds the fully resolved configuration in a comment
+header, so identical config + seed gives byte-identical output.
 
 Exit statuses: 0 success (and all verdicts pass), 1 numerical failure,
 2 usage / configuration error.  A request too large for memory and an
@@ -71,6 +71,15 @@ _SCHEMA = {
 }
 
 
+def _value(key, text):
+    kind = _SCHEMA[key][0]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError("config key %r: cannot parse %r as %s"
+                             % (key, text, kind.__name__)) from None
+
+
 def _parse_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -89,12 +98,7 @@ def _parse_config_file(path):
         if key not in _SCHEMA:
             raise ParameterError("%s:%d: unknown config key %r"
                                  % (path, lineno, key))
-        kind = _SCHEMA[key][0]
-        try:
-            values[key] = kind(value)
-        except ValueError:
-            raise ParameterError("config key %r: cannot parse %r as %s"
-                                 % (key, value, kind.__name__)) from None
+        values[key] = _value(key, value)
     return values
 
 
@@ -105,7 +109,7 @@ def resolve_config(args):
         config.update(_parse_config_file(args.config))
     for key in _SCHEMA:
         if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+            config[key] = _value(key, getattr(args, key))
     for key, (kind, _, allowed, _) in _SCHEMA.items():
         value = config[key]
         if value is None:
@@ -332,18 +336,14 @@ def build_parser():
         prog="mesoncollapse",
         description="Collapse-model dynamics of neutral two-level mesons.")
     parser.add_argument("--version", action="version", version=__version__)
-    # one declaration of the options, shared by every subcommand
-    options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--config", help="flat key = value config file")
-    for key, (kind, default, allowed, text) in _SCHEMA.items():
-        options.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
-                             choices=allowed if isinstance(allowed, tuple) else None,
-                             help=text if default is None
-                             else "%s (default: %s)" % (text, default))
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[options],
-                       help="run the %s experiment" % name)
+    parser.add_argument("command", choices=_COMMANDS, help="experiment to run")
+    parser.add_argument("--config", help="flat key = value config file")
+    for key, (_, default, allowed, text) in _SCHEMA.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            metavar="{%s}" % ",".join(map(str, allowed))
+                            if isinstance(allowed, tuple) else None,
+                            help=text if default is None
+                            else "%s (default: %s)" % (text, default))
     return parser
 
 

@@ -99,6 +99,9 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ParameterError("n_points must be >= 2, got %d" % self.n_points)
+        if self.n_points * 8 > np.iinfo(np.intp).max:   # bytes of ``points``
+            raise ParameterError("n_points=%d exceeds the largest array"
+                                 % self.n_points)
         if self.spacing <= 0:
             raise ParameterError("spacing must be positive, got %g" % self.spacing)
 
@@ -143,7 +146,7 @@ def integer_steps(times, dt, scale, message):
     return steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridState:
     """Pure state on the grid: complex amplitudes of shape (n_points, 2).
 

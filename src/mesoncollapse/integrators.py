@@ -187,7 +187,7 @@ def integrate_wong_zakai(state0, model, noise, t_grid):
     return states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Streamed trajectory averages at the sample times.
 

@@ -20,7 +20,7 @@ from .models import CSL, QMUPL, smearing_self_convolution
 RECORD_COLUMNS = ("time", "p_same", "p_other", "stderr_same", "stderr_other", "source")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionRecord:
     """Time series of transition probabilities with Monte Carlo error bars.
 
@@ -55,7 +55,7 @@ def exact_record(times, p_same, p_other, source):
                             stderr_same=z, stderr_other=z, source=source)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperoperatorKernel:
     """The master-equation generator of one model, built once.
 

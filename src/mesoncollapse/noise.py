@@ -49,7 +49,7 @@ def _require_resolved(m, step):
         raise UnderResolvedKernelError("step %g exceeds eps/4 = %g" % (step, m.eps / 4.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
     """Seeded Wiener increments, shape (n_steps, n_channels), variance dt each."""
 
@@ -178,7 +178,7 @@ class Mollifier:
         return (0.0, e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MollifiedNoise:
     """Smoothed noise Wdot(t) = sum_k delta_eps(t - t_k) dW_k on a time grid.
 

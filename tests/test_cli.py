@@ -1,6 +1,5 @@
 """Tests for the command-line experiment runner."""
 
-import argparse
 import contextlib
 import gc
 import hashlib
@@ -95,6 +94,11 @@ _EMPTY_GRIDS_AND_OVERFLOWS = [
      "--dt", "1e9", "--samples", "1", "--ntraj", "4", "--grid-points", "32"],
     ["compare", "--alpha", "1e-100", "--lambda", "1e300", "--tmax", "1e10",
      "--dt", "1e9", "--samples", "1", "--ntraj", "4", "--grid-points", "32"],
+    # grid points whose bytes pass the largest array: rejected before numpy
+    # refuses them ("array is too big") or wraps 2**63 to an empty grid
+    ["me", "--grid-points", str(2 ** 60)],
+    ["me", "--grid-points", str(2 ** 62)],
+    ["me", "--grid-points", str(2 ** 63)],
 ]
 
 
@@ -416,17 +420,26 @@ _FLOAT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
 _INT_VALUES = (-1, 0, 1, 2, 2 ** 63 - 1, 2 ** 63)
 
 
+# grid sizes whose points array passes the largest array, the last by 2**63
+_HUGE_GRID_POINTS = (2 ** 60, 2 ** 63 - 1, 2 ** 63)
+
+
 def _schema_values(key):
     """Values of one config key, built from its ``_SCHEMA`` row: every
-    allowed choice, or boundary values of its type and sign rule."""
+    allowed choice, or boundary values of its type and sign rule; and text
+    that is no value of the key: empty, not a number, a fraction for an int
+    key, or outside its allowed set."""
     kind, default, allowed, _ = _SCHEMA[key]
+    malformed = ("", "x") + (("1.5",) if kind is int else ())
     if isinstance(allowed, tuple):
-        return st.sampled_from(allowed)
+        return st.sampled_from(allowed + malformed + ("%s9" % allowed[-1],))
     if kind is float:
-        return st.sampled_from(_FLOAT_VALUES + ((default,) if default else ()))
+        return st.sampled_from(_FLOAT_VALUES + ((default,) if default else ())
+                               + malformed)
     if key in _CAPS:
-        return st.sampled_from((-1, 0, 1, 2, _CAPS[key]))
-    return st.sampled_from(_INT_VALUES)
+        huge = _HUGE_GRID_POINTS if key == "grid_points" else ()
+        return st.sampled_from((-1, 0, 1, 2, _CAPS[key]) + huge + malformed)
+    return st.sampled_from(_INT_VALUES + malformed)
 
 
 @st.composite
@@ -458,7 +471,7 @@ def _cells(text, fmt):
 
 class TestExitContractProperty:
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(run=_cli_runs())
     def test_every_config_keeps_the_exit_contract(self, run):
         """0, 1 or 2 from ``main`` for any command and keys of the table:
@@ -550,20 +563,55 @@ class TestOutputDigests:
 class TestOptionTable:
 
     def test_one_flag_per_key_from_the_table(self):
+        """One parser: a command positional offering the commands, and one
+        text flag per key, typed and checked later as a file value is."""
         parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        for command, p in sub.choices.items():
-            flags = [a for a in p._actions if a.dest not in ("help", "config")]
-            assert sorted(a.dest for a in flags) == sorted(_SCHEMA), command
-            for action in flags:
-                kind, _, allowed, _ = _SCHEMA[action.dest]
+        assert sorted(a.dest for a in parser._actions) == sorted(
+            list(_SCHEMA) + ["command", "config", "help", "version"])
+        command, = [a for a in parser._actions if not a.option_strings]
+        assert command.dest == "command"
+        assert list(command.choices) == list(_COMMANDS)
+        for action in parser._actions:
+            if action.dest in _SCHEMA:
                 assert action.option_strings == [
                     "--" + action.dest.replace("_", "-")]
-                assert action.type is kind
+                assert action.type is None and action.choices is None
                 assert action.default is None  # a file value is not overridden
-                assert action.choices == (allowed if isinstance(allowed, tuple)
-                                          else None)
+
+    def test_help_shows_each_allowed_set(self):
+        text = " ".join(build_parser().format_help().split())
+        for key, (_, _, allowed, _) in _SCHEMA.items():
+            if isinstance(allowed, tuple):
+                assert "--%s {%s}" % (key.replace("_", "-"),
+                                      ",".join(map(str, allowed))) in text
+
+    @pytest.mark.parametrize("key,text", [
+        ("tmax", "x"), ("samples", "1.5"), ("integrator", "foo"), ("dim", "2")])
+    def test_flag_and_file_values_fail_alike(self, key, text, tmp_path, capsys):
+        """The same text as a flag and as a file line: exit 2 and the same
+        single ``config error:`` line."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("%s = %s\n" % (key, text))
+        errors = []
+        for argv in (["exact", "--" + key, text], ["exact", "--config", str(cfg)]):
+            assert run_cli(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("config error:"), argv
+            assert captured.err.count("\n") == 1, argv
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
+    def test_options_may_precede_the_command(self, capsys):
+        flags = ["--model", "csl", "--gamma", "0.4", "--tmax", "1",
+                 "--samples", "3"]
+        outputs = []
+        for argv in (["exact"] + flags, flags + ["exact"],
+                     flags[:4] + ["exact"] + flags[4:]):
+            assert run_cli(argv) == 0, argv
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out.count("\n") > 3
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestThetaCheck:
@@ -697,6 +745,22 @@ class TestStartup:
         assert code == 0
         assert out.count("\n") > 2  # the CSV table was written
         assert err.strip() == "loaded: []"
+
+    def test_cli_import_adds_only_the_listed_modules(self):
+        """Beyond numpy and builtins, ``import mesoncollapse.cli`` loads the
+        package and argparse, copy, dataclasses and gettext, no more."""
+        script = (
+            "import json, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import mesoncollapse.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before\n"
+            "                        - set(sys.builtin_module_names))))\n")
+        code, out, err = run_cli_process([], script)
+        assert code == 0, err
+        added = set(json.loads(out))
+        package = {m for m in added if m.split(".")[0] == "mesoncollapse"}
+        assert "mesoncollapse.cli" in package
+        assert added - package <= {"argparse", "copy", "dataclasses", "gettext"}
 
     @pytest.mark.parametrize("args", [
         ["me", "--tmax", "1", "--samples", "3", "--grid-points", "64"],

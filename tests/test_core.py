@@ -1,5 +1,6 @@
 """Tests for domain types, basis conversions, and grid states."""
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -10,11 +11,14 @@ from hypothesis import given, strategies as st
 from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
                            GridState, InvariantViolationError, ModelParams,
                            ParameterError, flavor_to_mass, make_gaussian_state)
-from mesoncollapse import build_csl
+from mesoncollapse import build_csl, build_qmupl
 from mesoncollapse.core import IDX_H, IDX_L
-from mesoncollapse.master_eq import (dyson_flavor_probabilities,
+from mesoncollapse.integrators import IntegratorSpec, run_ensemble
+from mesoncollapse.master_eq import (SuperoperatorKernel,
+                                     dyson_flavor_probabilities, flavor_record,
                                      me_flavor_probabilities)
-from mesoncollapse.models import CSL, CollapseModel
+from mesoncollapse.models import CSL, QMUPL, CollapseModel
+from mesoncollapse.noise import Mollifier, mollify, sample_wiener
 
 INV_SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -272,6 +276,34 @@ class TestDensityBlocks:
         a, b = DensityBlocks(arr, grid), DensityBlocks(arr, grid)
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def _array_records():
+    """One small instance of each record type that holds arrays."""
+    params = ModelParams(lam=0.2)
+    grid = Grid.centered(64, 16.0)
+    model = build_qmupl(params, grid)
+    state = make_gaussian_state(params, grid, "M0")
+    times = np.array([0.01, 0.02])
+    path = sample_wiener(1, 0.01, 20)
+    ensemble = run_ensemble(model, IntegratorSpec(kind="ito-linear", dt=0.01),
+                            state, 0.02, 2, 1, times)
+    return [state, flavor_record(params, times, QMUPL),
+            SuperoperatorKernel.from_model(model), ensemble, path,
+            mollify(path, Mollifier("gaussian", 0.1), np.linspace(0, 0.2, 21))]
+
+
+@pytest.mark.parametrize("name", [
+    "GridState", "TransitionRecord", "SuperoperatorKernel", "EnsembleResult",
+    "NoisePath", "MollifiedNoise"])
+def test_array_records_compare_by_identity(name):
+    """A record equals itself only: an equal-content copy compares unequal
+    without an ambiguous array truth value, and every record hashes."""
+    record, = [r for r in _array_records() if type(r).__name__ == name]
+    twin = copy.deepcopy(record)
+    assert record == record
+    assert record != twin
+    assert len({record, twin, record}) == 2
 
 
 def _random_state(n, seed):
