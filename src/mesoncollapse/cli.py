@@ -1,17 +1,20 @@
 """Experiment runner: exact / ME / ensemble / Dyson / theta-check / compare.
 
-Configuration is a flat ``key = value`` text file plus command-line flags
-(flags win), given before or after the command.  Every key is declared
-once, in ``_SCHEMA``, with its type, default, allowed values or sign rule
-and help text; ``_value`` types a value and ``resolve_config`` checks it
-the same way whether it came from a file or a flag.  ``seed`` must be >= 0.
-Every output file embeds the fully resolved configuration in a comment
-header, so identical config + seed gives byte-identical output.
+Configuration is a flat ``key = value`` text file plus command-line flags,
+``--key value`` or ``--key=value`` alike (flags win), given before or after
+the command.  Every key is declared once, in ``_SCHEMA``, with its type,
+default, allowed values or sign rule and help text; ``_value`` types a
+value and ``resolve_config`` checks it the same way whether it came from a
+file or a flag.  ``seed`` must be >= 0.  Every output file embeds the fully
+resolved configuration in a comment header, so identical config + seed
+gives byte-identical output.
 
-Exit statuses: 0 success (and all verdicts pass), 1 numerical failure,
-2 usage / configuration error.  A request too large for memory and an
-``--out`` that cannot be written are configuration errors, and no output
-file is left behind.
+Exit statuses: 0 success (and all verdicts pass), 1 numerical failure, 2
+usage / configuration error.  An ``InvariantViolationError`` exits 1; a
+``ParameterError`` (a value the config alone makes wrong, such as a grid
+that does not cover or resolve the packet, unresolved CSL smearing or a
+Wong-Zakai step above eps/4), a request too large for memory and an
+``--out`` that cannot be written exit 2.  No output file is left behind.
 """
 
 import argparse
@@ -21,8 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import (DensityBlocks, Grid, GridResolutionError,
-                   InvariantViolationError, ModelParams, NormDivergenceError,
+from .core import (DensityBlocks, Grid, InvariantViolationError, ModelParams,
                    ParameterError, make_gaussian_state)
 from .integrators import (_RESOLUTION, INTEGRATOR_KINDS, IntegratorSpec,
                           run_ensemble)
@@ -30,11 +32,8 @@ from .master_eq import (RECORD_COLUMNS, damping_exponent,
                         dyson_flavor_probabilities, flavor_record,
                         me_flavor_probabilities, require_me_dim)
 from .models import CSL, QMUPL, build_csl, build_qmupl
-from .noise import (MOLLIFIER_KINDS, Mollifier, UnderResolvedKernelError,
-                    i_epsilon_monte_carlo, i_epsilon_quadrature)
-
-_NUMERICAL_ERRORS = (NormDivergenceError, InvariantViolationError,
-                     UnderResolvedKernelError, GridResolutionError)
+from .noise import (MOLLIFIER_KINDS, Mollifier, i_epsilon_monte_carlo,
+                    i_epsilon_quadrature)
 
 # model key -> closed-form label
 _MODELS = {"qmupl": QMUPL, "csl": CSL}
@@ -158,18 +157,12 @@ def _sample_times(config, snap_dt=None):
     return times
 
 
-def _config_lines(config, extra=()):
-    lines = ["version = %s" % __version__]
-    lines += ["%s = %s" % (key, config[key]) for key in sorted(config)
-              if key != "out"]
-    lines += list(extra)
-    return lines
-
-
 def _emit_table(config, columns, rows, extra_header=()):
     """Write a table as CSV (with a '#' comment header) or JSON."""
+    shown = {key: config[key] for key in sorted(config) if key != "out"}
     if config["format"] == "csv":
-        text = "".join("# %s\n" % line for line in _config_lines(config, extra_header))
+        lines = ["version = %s" % __version__] + ["%s = %s" % kv for kv in shown.items()]
+        text = "".join("# %s\n" % line for line in lines + list(extra_header))
         text += ",".join(columns) + "\n"
         for row in rows:
             text += ",".join(cell if isinstance(cell, str) else repr(float(cell))
@@ -178,7 +171,7 @@ def _emit_table(config, columns, rows, extra_header=()):
         import json  # only the JSON format needs it, so CSV runs skip it
         doc = {
             "version": __version__,
-            "config": {key: config[key] for key in sorted(config) if key != "out"},
+            "config": shown,
             "notes": list(extra_header),
             "columns": list(columns),
             "rows": [[cell if isinstance(cell, str) else float(cell)
@@ -271,10 +264,8 @@ def _record_command(build, **route):
 
 def run_theta_check(config):
     t = config["tmax"]
-    if config["eps"] is not None:
-        eps_values = [config["eps"]]
-    else:
-        eps_values = [t / 10.0, t / 30.0, t / 100.0]
+    eps_values = ([config["eps"]] if config["eps"] is not None
+                  else [t / 10.0, t / 30.0, t / 100.0])
     rows = []
     for eps in eps_values:
         m = Mollifier(config["mollifier"], eps)
@@ -303,18 +294,17 @@ def run_compare(config):
     me = _me_record(config, model, state, times)
 
     rows = []
-    all_pass = True
     for i, t in enumerate(times):
         # trajectories that agree to rounding: their stderr is rounding too
         stderr = max(float(ens.stderr_same[i]), _RESOLUTION)
         z = (float(ens.p_same[i]) - float(exact.p_same[i])) / stderr
         me_err = abs(float(me.p_same[i]) - float(exact.p_same[i]))
         verdict = "PASS" if (abs(z) <= 3.0 and me_err < 1e-2) else "FAIL"
-        all_pass &= verdict == "PASS"
         rows.append((t, exact.p_same[i], me.p_same[i], ens.p_same[i],
                      stderr, z, verdict))
     columns = ("time", "p_exact", "p_me", "p_ensemble", "stderr_ensemble",
                "z_score", "verdict")
+    all_pass = all(row[-1] == "PASS" for row in rows)
     overall = "verdict = %s" % ("PASS" if all_pass else "FAIL")
     _emit_table(config, columns, rows, extra_header=(overall,))
     print(overall, file=sys.stderr)
@@ -347,17 +337,38 @@ def build_parser():
     return parser
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv):
+    """``argv`` with each ``--key value`` whose value parses as a float
+    written ``--key=value``: argparse takes a separate value that starts
+    with ``-`` and is no plain decimal (-1e200, -inf) for an option."""
+    flags = {"--" + key.replace("_", "-") for key in _SCHEMA}
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in flags and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](resolve_config(args))
-    except (ParameterError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+    except (ParameterError, OSError, MemoryError) as exc:
+        cause = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print("config error: %s%s" % (cause, exc), file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        print("config error: out of memory: %s" % exc, file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    except InvariantViolationError as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return 1
 

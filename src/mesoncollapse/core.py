@@ -19,16 +19,8 @@ class ParameterError(ValueError):
     """A physical or numerical parameter fails its validity constraints."""
 
 
-class GridResolutionError(ValueError):
-    """The position grid is too coarse or too short for the requested state."""
-
-
 class InvariantViolationError(ValueError):
-    """An input object violates a structural invariant (norm, trace, ...)."""
-
-
-class NormDivergenceError(RuntimeError):
-    """A trajectory's norm drifted too far in a single step (dt too large)."""
+    """An object or a computed result violates an invariant (norm, trace, ...)."""
 
 
 @dataclass(frozen=True)
@@ -300,16 +292,16 @@ def make_gaussian_state(params, grid, flavor="M0"):
 
     The amplitude profile is exp(-x^2 / (2 alpha)), normalized on the grid
     (position density variance alpha/2, see ModelParams).  Raises
-    GridResolutionError if the grid does not resolve or cover the packet.
+    ParameterError if the grid does not resolve or cover the packet.
     """
     root_alpha = np.sqrt(params.alpha)
     # n * (extent / n) may fall an ulp short of the extent the grid was built on
     if grid.extent < 8.0 * root_alpha * (1.0 - 4.0 * np.finfo(float).eps):
-        raise GridResolutionError(
+        raise ParameterError(
             "grid extent %g does not cover 8*sqrt(alpha)=%g"
             % (grid.extent, 8.0 * root_alpha))
     if grid.spacing > root_alpha / 4.0:
-        raise GridResolutionError(
+        raise ParameterError(
             "grid spacing %g exceeds sqrt(alpha)/4=%g"
             % (grid.spacing, root_alpha / 4.0))
     x = grid.points

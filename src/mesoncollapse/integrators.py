@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridState, NormDivergenceError, ParameterError,
+from .core import (GridState, InvariantViolationError, ParameterError,
                    flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, _require_resolved,
@@ -114,8 +114,8 @@ def _collapse_states(model, amp0, y, times):
 def step_ito_nonlinear(state, model, dW, dt):
     """Single step of the nonlinear (collapse) SDE, normalized:
     psi exp(-iH dt + sqrt(lam) A.dY - lam A^2 dt) with dY = dW + 2 sqrt(lam)
-    <A>_psi dt.  Never raises NormDivergenceError; ``run_ensemble`` samples
-    the exact law at any t instead.
+    <A>_psi dt.  Never fails the norm check of ``step_ito_linear``;
+    ``run_ensemble`` samples the exact law at any t instead.
     """
     state.validate(tol=0.05)
     prob = np.abs(state.amplitudes) ** 2
@@ -130,13 +130,13 @@ def step_ito_linear(state, model, dW, dt):
     """Single Euler-Maruyama step of the linear SDE.
 
     The scheme does not preserve the norm; a step that changes it by more
-    than 10 % raises NormDivergenceError instead of blowing up silently.
+    than 10 % raises InvariantViolationError instead of blowing up silently.
     """
     state.validate(tol=0.05)
     amp = _em_linear(state.amplitudes, model, np.asarray(dW, dtype=float), dt)
     ratio = np.sqrt(np.sum(np.abs(amp) ** 2) * state.grid.spacing) / state.norm()
     if not abs(ratio - 1.0) <= 0.1:
-        raise NormDivergenceError(
+        raise InvariantViolationError(
             "norm changed by a factor %g in one step; reduce dt" % ratio)
     return GridState(amp, state.grid)
 

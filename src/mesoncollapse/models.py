@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GridResolutionError, _frozen_array
+from .core import ParameterError, _frozen_array
 
 QMUPL = "QMUPL"
 CSL = "CSL"
@@ -133,7 +133,7 @@ def build_csl(params, grid):
     the 2n - 1 samples g(k dx).
     """
     if grid.spacing > params.rC / 4.0:
-        raise GridResolutionError(
+        raise ParameterError(
             "grid spacing %g exceeds rC/4 = %g; smearing unresolved"
             % (grid.spacing, params.rC / 4.0))
     n = grid.n_points

@@ -39,14 +39,10 @@ MAX_NOISE_BYTES = 64 * 2 ** 20
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
-class UnderResolvedKernelError(ValueError):
-    """The evaluation grid is too coarse to resolve the mollifier kernel."""
-
-
 def _require_resolved(m, step):
-    """Raise UnderResolvedKernelError unless step <= eps/4 (+ 1e-12 eps for rounding)."""
+    """Raise ParameterError unless step <= eps/4 (+ 1e-12 eps for rounding)."""
     if not step <= m.eps / 4.0 + 1e-12 * m.eps:
-        raise UnderResolvedKernelError("step %g exceeds eps/4 = %g" % (step, m.eps / 4.0))
+        raise ParameterError("step %g exceeds eps/4 = %g" % (step, m.eps / 4.0))
 
 
 @dataclass(frozen=True, eq=False)

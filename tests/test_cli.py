@@ -101,6 +101,17 @@ _EMPTY_GRIDS_AND_OVERFLOWS = [
     ["me", "--grid-points", str(2 ** 63)],
 ]
 
+# a grid that does not cover or resolve the packet, CSL smearing the grid
+# does not resolve, and a Wong-Zakai step above eps/4: the config alone
+# fixes each, so each is a config error
+_UNRESOLVED_GRIDS_AND_STEPS = [
+    ["dyson", "--grid-extent", "4", "--samples", "2"],
+    ["me", "--grid-points", "16"],
+    ["me", "--model", "csl", "--rc", "0.05", "--grid-points", "64"],
+    ["compare", "--integrator", "wong-zakai", "--tmax", "0.1", "--samples",
+     "2", "--ntraj", "4", "--grid-points", "32"],
+]
+
 
 def read_table(path):
     """Parse a CSV output into (header comments, columns, rows)."""
@@ -286,13 +297,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("config error") == 2
 
-    def test_wong_zakai_dt_above_eps_over_4_is_numerical_error(self):
+    def test_wong_zakai_dt_above_eps_over_4_is_config_error(self):
         code, _, err = run_cli_process(
             ["compare", "--integrator", "wong-zakai", "--eps", "0.04",
              "--dt", "0.0100001", "--tmax", "0.1", "--samples", "2",
              "--ntraj", "2", "--grid-points", "32"])
-        assert code == 1
-        assert err.count("numerical error:") == 1
+        assert code == 2
+        assert err.count("config error:") == 1
         assert "exceeds eps/4" in err and "Traceback" not in err
 
     def test_worker_env_is_not_read(self, monkeypatch, capsys):
@@ -307,13 +318,14 @@ class TestExitCodes:
         assert run_cli(args) == 0
         assert capsys.readouterr() == ignored
 
-    def test_numerical_error_status(self, tmp_path):
-        # CSL smearing unresolved by the grid -> numerical failure (1)
+    def test_unresolved_csl_smearing_is_config_error(self, tmp_path):
+        # CSL smearing unresolved by the grid: fixed by the config alone
         code = run_cli(["me", "--model", "csl", "--gamma", "0.1",
                         "--rc", "0.05", "--grid-points", "64",
                         "--tmax", "0.1", "--samples", "1", "--dt", "0.05",
                         "--out", str(tmp_path / "x.csv")])
-        assert code == 1
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_compare_pass_exit_zero(self, tmp_path):
         code = run_cli(["compare", "--model", "qmupl", "--lambda", "0.2",
@@ -385,14 +397,14 @@ class TestExitCodes:
         ["exact", "--model", "csl", "--gamma", "1e307", "--rc", "0.001",
          "--samples", "2"],
     ] + _OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS
-        + _EMPTY_GRIDS_AND_OVERFLOWS)
+        + _EMPTY_GRIDS_AND_OVERFLOWS + _UNRESOLVED_GRIDS_AND_STEPS)
     def test_extreme_values_keep_exit_contract(self, args):
         """0, 1 or 2, never a traceback or a numpy warning, and no NaN cell
         on success."""
         code, out, err = run_cli_process(args)
         assert code in (0, 1, 2)
         if args in (_OUT_OF_RANGE_MASSES_AND_LENGTHS + _UNSUPPORTED_DIMENSIONS
-                    + _EMPTY_GRIDS_AND_OVERFLOWS):
+                    + _EMPTY_GRIDS_AND_OVERFLOWS + _UNRESOLVED_GRIDS_AND_STEPS):
             assert code == 2 and err.startswith("config error:")
             assert out == "" and err.count("\n") == 1
         assert "Traceback" not in err
@@ -444,11 +456,13 @@ def _schema_values(key):
 
 @st.composite
 def _cli_runs(draw):
-    """(command, {key: value}, write to --out?) over 1-6 keys of the table."""
+    """(command, {key: (value, spelled ``--key value``?)}, write to --out?)
+    over 1-6 keys of the table; a key not spelled apart is ``--key=value``."""
     keys = draw(st.lists(st.sampled_from([k for k in _SCHEMA if k != "out"]),
                          min_size=1, max_size=6, unique=True))
     return (draw(st.sampled_from(list(_COMMANDS))),
-            {key: draw(_schema_values(key)) for key in keys},
+            {key: (draw(_schema_values(key)), draw(st.booleans()))
+             for key in keys},
             draw(st.booleans()))
 
 
@@ -475,11 +489,14 @@ class TestExitContractProperty:
     @given(run=_cli_runs())
     def test_every_config_keeps_the_exit_contract(self, run):
         """0, 1 or 2 from ``main`` for any command and keys of the table:
-        no exception and no warning; finite cells on 0; on 2 one
-        ``config error:`` line and no output file."""
+        no exception and no warning; finite cells on 0; on 1 one line, a
+        ``numerical error:`` with no output or the ``compare`` FAIL verdict;
+        on 2 one ``config error:`` line and no output file."""
         command, values, to_file = run
-        argv = [command] + ["--%s=%s" % (key.replace("_", "-"), value)
-                            for key, value in values.items()]
+        argv = [command]
+        for key, (value, apart) in values.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag, str(value)] if apart else ["%s=%s" % (flag, value)]
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.txt"
@@ -494,8 +511,13 @@ class TestExitContractProperty:
         assert code in (0, 1, 2), argv
         assert caught == [], (argv, [str(w.message) for w in caught])
         if code == 0:
-            fmt = values.get("format", "csv")
+            fmt = values.get("format", ("csv",))[0]
             assert all(math.isfinite(c) for c in _cells(text, fmt)), argv
+        if code == 1:
+            numerical = err.getvalue().startswith("numerical error:")
+            assert err.getvalue().count("\n") == 1, argv
+            assert (numerical and text == "") or (
+                command == "compare" and err.getvalue() == "verdict = FAIL\n"), argv
         if code == 2:
             assert err.getvalue().startswith("config error:"), argv
             assert err.getvalue().count("\n") == 1, argv
@@ -586,7 +608,8 @@ class TestOptionTable:
                                       ",".join(map(str, allowed))) in text
 
     @pytest.mark.parametrize("key,text", [
-        ("tmax", "x"), ("samples", "1.5"), ("integrator", "foo"), ("dim", "2")])
+        ("tmax", "x"), ("samples", "1.5"), ("integrator", "foo"), ("dim", "2"),
+        ("dm", "-1e200"), ("lambda", "-inf")])
     def test_flag_and_file_values_fail_alike(self, key, text, tmp_path, capsys):
         """The same text as a flag and as a file line: exit 2 and the same
         single ``config error:`` line."""

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
-                           GridState, InvariantViolationError, ModelParams,
+from mesoncollapse import (DensityBlocks, Grid, GridState,
+                           InvariantViolationError, ModelParams,
                            ParameterError, flavor_to_mass, make_gaussian_state)
 from mesoncollapse import build_csl, build_qmupl
 from mesoncollapse.core import IDX_H, IDX_L
@@ -164,11 +164,11 @@ class TestGaussianState:
         assert abs(coarse.norm() - fine.norm()) < 1e-8
 
     def test_short_grid_rejected(self):
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ParameterError, match="does not cover"):
             make_gaussian_state(self.params, Grid.centered(64, 4.0))
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ParameterError, match=r"exceeds sqrt\(alpha\)/4"):
             make_gaussian_state(self.params, Grid.centered(16, 16.0))
 
     @pytest.mark.parametrize("n", [49, 98, 103])

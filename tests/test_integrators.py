@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
-                           IntegratorSpec, Mollifier, ModelParams, NormDivergenceError,
-                           ParameterError, UnderResolvedKernelError,
-                           build_csl, build_qmupl, integrate_wong_zakai,
+                           IntegratorSpec, InvariantViolationError, Mollifier,
+                           ModelParams, ParameterError, build_csl, build_qmupl, integrate_wong_zakai,
                            make_gaussian_state, me_flavor_probabilities,
                            mollify, qmupl_flavor_probabilities, run_ensemble,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
@@ -180,7 +179,8 @@ class TestPathwiseProperties:
         """One Euler-Maruyama step at a large dt changes the norm by far
         more than 10 %: it must raise, not return a blown-up state."""
         params, _, model, state = qmupl_setup(lam=0.5)
-        with pytest.raises(NormDivergenceError):
+        with pytest.raises(InvariantViolationError,
+                           match="norm changed by a factor"):
             step_ito_linear(state, model, np.full(model.n_channels, 3.0), 1.0)
 
 
@@ -210,7 +210,7 @@ class TestWongZakai:
         m = Mollifier("box", 0.05)
         noise = MollifiedNoise(base=path, mollifier=m, t_grid=None,
                                samples=None, t0=0.0)
-        with pytest.raises(UnderResolvedKernelError):
+        with pytest.raises(ParameterError, match="exceeds eps/4"):
             integrate_wong_zakai(state0, model, noise,
                                  0.05 * np.arange(41))
 
@@ -281,7 +281,7 @@ class TestWongZakai:
             return run_ensemble(model, spec, state0, 10 * dt, 1, seed=1,
                                 sample_times=even_times(10 * dt, 1))
         run(m.eps / 4.0)
-        with pytest.raises(UnderResolvedKernelError, match="eps/4"):
+        with pytest.raises(ParameterError, match="exceeds eps/4"):
             run(m.eps / 4.0 * (1.0 + 1e-9))
 
     def test_ensemble_freezes_mass_populations(self):

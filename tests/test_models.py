@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesoncollapse import (DensityBlocks, Grid, GridResolutionError,
-                           ModelParams, build_csl, build_hamiltonian,
+from mesoncollapse import (DensityBlocks, Grid, ModelParams,
+                           ParameterError, build_csl, build_hamiltonian,
                            build_qmupl, evolve_me_numeric,
                            make_gaussian_state, smearing_kernel,
                            smearing_self_convolution)
@@ -100,7 +100,7 @@ class TestCsl:
         self.grid = Grid.centered(160, 16.0)  # spacing 0.1 <= rC/4
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ParameterError, match="smearing unresolved"):
             build_csl(self.params, Grid.centered(64, 16.0))
 
     def test_kernel_normalized_on_grid(self):

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mesoncollapse import (MOLLIFIER_KINDS, Mollifier, NoisePath,
-                           ParameterError, UnderResolvedKernelError,
-                           i_epsilon_monte_carlo, i_epsilon_quadrature,
-                           mollify, sample_wiener)
+                           ParameterError, i_epsilon_monte_carlo,
+                           i_epsilon_quadrature, mollify, sample_wiener)
 from mesoncollapse.noise import (_GL_NODES, _GL_WEIGHTS, MAX_NOISE_BYTES,
                                  _merged_breakpoints, _numpy_random,
                                  _panel_quadrature,
@@ -239,7 +238,7 @@ class TestMollify:
     def test_under_resolved_grid_rejected(self):
         path = sample_wiener(1, 0.01, 100)
         m = Mollifier("gaussian", 0.02)
-        with pytest.raises(UnderResolvedKernelError):
+        with pytest.raises(ParameterError, match="exceeds eps/4"):
             mollify(path, m, np.linspace(0.0, 1.0, 11))
 
     def test_linearity(self):
