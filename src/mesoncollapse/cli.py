@@ -323,7 +323,7 @@ _COMMANDS = {
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="mesoncollapse",
+        prog="mesoncollapse", allow_abbrev=False,
         description="Collapse-model dynamics of neutral two-level mesons.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("command", choices=_COMMANDS, help="experiment to run")

@@ -14,10 +14,13 @@ SDE is psi_t ~ psi_0 exp(-iHt + sqrt(lam) A.Y_t - lam A^2 t), normalized,
 whose driving process Y is, by the linear/nonlinear correspondence (Bassi,
 J. Phys. A 38, 3173 (2005)), a Brownian motion with one random drift,
 Y_t = W_t + 2 sqrt(lam) A(xi) t, xi = (x, mu) drawn from |psi_0|^2
-(Hughston, Proc. R. Soc. A 452, 953 (1996)).  ``run_ensemble`` evaluates
-these solutions at the sample times only, from Gaussian W or W^eps drawn
-there (W^eps is linear in the Wiener increments), so the linear and
-collapse results do not depend on dt.  The one-step collapse formula
+(Hughston, Proc. R. Soc. A 452, 953 (1996)).  ``run_ensemble`` draws each
+kind's driving process -- W, W^eps or Y -- at the sample times only (W^eps
+is linear in the Wiener increments, so it is Gaussian there too), so the
+linear and collapse results do not depend on dt.  It builds no psi: each
+trajectory's flavor and mass probabilities are sums over the grid of
+exponentials of the real field sum_i w_i G_i(x), one formula for every
+kind.  The one-step collapse formula
 ``step_ito_nonlinear``, ``step_ito_linear`` (Euler-Maruyama, norm-checked),
 ``step_stratonovich`` (Heun) and ``integrate_wong_zakai`` (RK4 on the
 mollified-noise ODE) remain as references.  Chunks run one after another
@@ -29,21 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridState, InvariantViolationError, ParameterError,
-                   flavor_to_mass, integer_steps)
+from .core import (IDX_H, IDX_L, GridState, InvariantViolationError,
+                   ParameterError, flavor_to_mass, integer_steps)
 from .master_eq import TransitionRecord
 from .noise import (MAX_NOISE_BYTES, Mollifier, _require_resolved,
                     gaussian_factor, path_generator, window_integrals)
 
 INTEGRATOR_KINDS = ("ito-nonlinear", "ito-linear", "stratonovich", "wong-zakai")
 
-# A trajectory's probability is a ratio of two pairwise sums over the grid,
-# good to O(log2(n) eps) relative; values that spread less than this much
-# about their mean differ by rounding only, and their variance reads 0.
+# A trajectory's probability is a ratio of sums over the grid (N_mu and X of
+# ``_run_chunk``), good to a few eps relative; values that spread less than
+# this much about their mean differ by rounding only, and their variance
+# reads 0.
 _RESOLUTION = 32 * np.finfo(float).eps
-
-# <M0| and <M0bar| in the mass basis, shape (2 outcomes, 2 mass)
-_FLAVOR_PROJECTORS = np.conj([flavor_to_mass(f) for f in ("M0", "M0bar")])
 
 
 @dataclass(frozen=True)
@@ -83,47 +84,30 @@ def _em_linear(amp, model, dW, dt):
     return amp * (1.0 + _unitary_exponent(model, dt, dW) - drift)
 
 
-def _collapse_states(model, amp0, y, times):
-    """psi_0 exp(-iHt + sqrt(lam) A.Y_t - lam A^2 t) up to normalization: one
-    (B, n, 2) batch per time t, for Y_t of shape (B, nc) from ``y``.
-
-    The real log-weights are shifted by their maximum over the entries
-    where psi_0 != 0, and the others stay exactly 0: no 0/0, no overflow.
-    """
-    nc = model.n_channels
-    root_lam = np.sqrt(model.coupling)
-    flat = amp0.reshape(-1)
-    prob = flat.real ** 2 + flat.imag ** 2
-    on = prob > 0
-    unit = flat[on] / np.sqrt(prob[on])
-    h = np.broadcast_to(model.hamiltonian, amp0.shape).reshape(-1)[on]
-    basis = np.vstack([model.channels.reshape(nc, -1)[:, on],
-                       _mass_squares(model).reshape(-1)[on],
-                       np.log(prob[on])]).T              # (support, nc + 2)
-    for t, y_t in zip(times, y):
-        coef = np.ones((nc + 2, len(y_t)))               # [2 sqrt(lam) Y; -2 lam t; 1]
-        coef[:nc] = 2.0 * root_lam * y_t.T
-        coef[nc] = -2.0 * root_lam ** 2 * t
-        log_w = basis @ coef                             # (support, B)
-        log_w -= log_w.max(axis=0)
-        amp = np.zeros((len(y_t), flat.size), dtype=complex)
-        amp[:, on] = unit * np.exp(0.5 * log_w.T - 1j * t * h)
-        yield amp.reshape((-1,) + amp0.shape)
-
-
 def step_ito_nonlinear(state, model, dW, dt):
     """Single step of the nonlinear (collapse) SDE, normalized:
     psi exp(-iH dt + sqrt(lam) A.dY - lam A^2 dt) with dY = dW + 2 sqrt(lam)
     <A>_psi dt.  Never fails the norm check of ``step_ito_linear``;
     ``run_ensemble`` samples the exact law at any t instead.
+
+    The real log-weights log|psi|^2 + 2 sqrt(lam) A.dY - 2 lam A^2 dt are
+    shifted by their maximum over the entries where psi != 0, and the others
+    stay exactly 0: no 0/0, no overflow.
     """
     state.validate(tol=0.05)
-    prob = np.abs(state.amplitudes) ** 2
+    amp = state.amplitudes
+    prob = amp.real ** 2 + amp.imag ** 2
+    on = prob > 0
     mean_a = np.einsum("inm,nm->i", model.channels, prob) / prob.sum()
-    dy = (np.asarray(dW, dtype=float)
-          + 2.0 * np.sqrt(model.coupling) * dt * mean_a)
-    amp, = _collapse_states(model, state.amplitudes, dy.reshape(1, 1, -1), [dt])
-    return GridState(amp[0], state.grid).normalized()
+    root_lam = np.sqrt(model.coupling)
+    dy = np.asarray(dW, dtype=float) + 2.0 * root_lam * dt * mean_a
+    log_w = (np.log(prob[on]) + (2.0 * root_lam * model.field(dy)
+             - 2.0 * root_lam ** 2 * dt * _mass_squares(model))[on])
+    phase = np.broadcast_to(model.hamiltonian, amp.shape)[on] * dt
+    new = np.zeros_like(amp)
+    new[on] = amp[on] / np.sqrt(prob[on]) * np.exp(
+        0.5 * (log_w - log_w.max()) - 1j * phase)
+    return GridState(new, state.grid).normalized()
 
 
 def step_ito_linear(state, model, dW, dt):
@@ -230,15 +214,6 @@ def _merge_moments(a, b):
             m2_a + m2_b + delta ** 2 * (na * nb / n))
 
 
-def _observables(amp, spacing):
-    """[P(M0), P(M0bar), P(H), P(L)] of each trajectory in the batch, (B, 4)."""
-    norm2 = np.sum(np.abs(amp) ** 2, axis=(-2, -1)) * spacing      # (B,)
-    overlap = np.einsum("om,bnm->bon", _FLAVOR_PROJECTORS, amp, optimize=True)  # (B, 2, n)
-    p_flavor = np.sum(np.abs(overlap) ** 2, axis=-1) * spacing
-    p_mass = np.sum(np.abs(amp) ** 2, axis=-2) * spacing
-    return np.hstack([p_flavor, p_mass]) / norm2[:, None]
-
-
 def _mean_stderr(moments):
     """Mean, standard error of the mean and sample variance of (n, mean, M2)."""
     n, mean, m2 = moments
@@ -248,8 +223,10 @@ def _mean_stderr(moments):
 
 
 def _exact_path(model, spec, amp0, n_steps, steps, rngs):
-    """Every kind, solved pathwise at the sample steps ``steps`` only
-    (distinct, ascending): yields the psi batch at each, in order.
+    """Every kind's driving process at the sample steps ``steps`` only
+    (distinct, ascending), in one (n_stops, B, nc) array, one (B, nc) row
+    per step: W_t for ``ito-linear`` and ``stratonovich``, W^eps_t for
+    ``wong-zakai``, Y_t for ``ito-nonlinear``.
 
     psi_t = psi_0 exp(-iHt + i sqrt(lam) sum_i A_i W_i(t)) holds for the Ito
     and the Stratonovich form alike, and for the mollified-noise ODE with W
@@ -271,6 +248,7 @@ def _exact_path(model, spec, amp0, n_steps, steps, rngs):
     collapse measure, drawn directly, with no weights and no time steps.
     """
     nc, dt = model.n_channels, spec.dt
+    w = np.empty((len(steps), len(rngs), nc))              # (n_stops, B, nc)
     if spec.kind == "ito-nonlinear":
         prob = (amp0.real ** 2 + amp0.imag ** 2).reshape(-1)
         on = np.flatnonzero(prob)
@@ -281,34 +259,79 @@ def _exact_path(model, spec, amp0, n_steps, steps, rngs):
         _, weights = window_integrals(spec.mollifier, dt * np.array(steps),
                                       n_steps * dt, dt)
         factor = gaussian_factor(weights, dt)
-        w = np.stack([factor @ rng.standard_normal((len(steps), nc))
-                      for rng in rngs], axis=1)          # (n_stops, B, nc)
+        for b, rng in enumerate(rngs):
+            w[:, b] = factor @ rng.standard_normal((len(steps), nc))
     else:
         seg_sd = np.sqrt(dt * np.diff([0] + steps))[:, None]
-        w = np.cumsum(np.stack([rng.normal(0.0, seg_sd, (len(steps), nc))
-                                for rng in rngs], axis=1), axis=0)  # (n_stops, B, nc)
-    if spec.kind == "ito-nonlinear":
-        times = dt * np.array(steps)
-        a_xi = model.channels.reshape(nc, -1)[:, pick].T          # (B, nc)
-        for w_t, t in zip(w, times):                              # W becomes Y
+        for b, rng in enumerate(rngs):
+            w[:, b] = seg_sd * rng.standard_normal((len(steps), nc))
+        np.cumsum(w, axis=0, out=w)
+    if spec.kind == "ito-nonlinear":                       # W becomes Y
+        # A_i(xi) = G_i(x) r_mu for the picked entry xi = (x, mu)
+        a_xi = (model.profile[:, pick // 2] * model.mass_ratio[pick % 2]).T
+        for w_t, t in zip(w, dt * np.array(steps)):
             w_t += 2.0 * np.sqrt(model.coupling) * t * a_xi
-        yield from _collapse_states(model, amp0, w, times)
-        return
-    for step, w_t in zip(steps, w):
-        yield amp0 * np.exp(_unitary_exponent(model, step * dt, w_t))
+    return w
 
 
 def _run_chunk(model, spec, amp0, n_steps, steps, seed, indices):
     """(n, mean, M2) of one batch's observables, (U, 4) each, one row per
     distinct sample step in ``steps``, from the trajectories' own Philox
     streams.
+
+    No state is built.  Each trajectory's [P(M0), P(M0bar), P(H), P(L)]
+    is reduced from the real field f = w_t G, shape (B, n), of its driving
+    process w_t, through the mass log-weights l_mu(x) = log|psi_t(x, mu)|^2
+    and the HL phase phi(x):
+    - l_mu = log|psi_0(x, mu)|^2, and for the collapse kind + 2 sqrt(lam)
+      r_mu f - 2 lam r_mu^2 s(x) t, shifted by its maximum over the entries
+      where psi_0 != 0 (the others are -inf and weigh exactly 0);
+    - phi = sqrt(lam) (r_H - r_L) f for the linear kinds, 0 for collapse;
+    - N_mu = sum_x e^l_mu and X = sum_x u(x) e^{(l_H + l_L)/2 + i phi},
+      u the phase of psi_0H conj(psi_0L) (0 where that product is 0);
+    - P(F) = (|F_H|^2 N_H + |F_L|^2 N_L + 2 Re(e^{-i dm t} conj(F_H) F_L X))
+      / (N_H + N_L) for a flavor F = (F_H, F_L), and P(mu) = N_mu / (N_H + N_L).
+    For the linear kinds N_mu is a constant of the chunk, and a time step
+    costs one (B, n) complex exponential and one (B, n) (n,) product.
     """
-    mean = np.zeros((len(steps), 4))
-    m2 = np.zeros_like(mean)
     rngs = [path_generator(seed, traj) for traj in indices]
     paths = _exact_path(model, spec, amp0, n_steps, steps, rngs)
-    for row, amp in enumerate(paths):
-        _, mean[row], m2[row] = _moments(_observables(amp, model.grid.spacing))
+    root_lam, r = np.sqrt(model.coupling), model.mass_ratio
+    with np.errstate(divide="ignore"):                     # -inf off the support
+        log_p = np.log(amp0.real ** 2 + amp0.imag ** 2).T[:, None]   # (2, 1, n)
+    hl = amp0[:, IDX_H] * np.conj(amp0[:, IDX_L])
+    u = np.divide(hl, np.abs(hl), out=np.zeros_like(hl), where=hl != 0)
+    flavors = np.array([flavor_to_mass(f) for f in ("M0", "M0bar")])  # (2, 2)
+    cross = np.conj(flavors[:, IDX_H]) * flavors[:, IDX_L]
+    dm = model.hamiltonian[IDX_H] - model.hamiltonian[IDX_L]
+    log_w = log_p                          # the linear kinds' l_mu at every time
+    collapse = spec.kind == "ito-nonlinear"
+    if collapse:
+        drift = 2.0 * root_lam * r[:, None, None]
+        damp = np.multiply.outer(r ** 2, model.profile_square_sum())[:, None]
+    mean = np.zeros((len(steps), 4))
+    m2 = np.zeros_like(mean)
+    p = np.empty((len(indices), 4))
+    for row, (t, w_t) in enumerate(zip(spec.dt * np.array(steps), paths)):
+        f = w_t @ model.profile                            # (B, n)
+        if collapse:
+            log_w = drift * f                              # (2, B, n)
+            log_w += log_p
+            log_w -= (2.0 * root_lam ** 2 * t) * damp
+            log_w -= log_w.max(axis=(0, 2), keepdims=True)
+            z = 0.5 * (log_w[IDX_H] + log_w[IDX_L])       # phi = 0
+        else:
+            z = np.empty(f.shape, complex)                 # (l_H + l_L)/2 + i phi
+            z.real = 0.5 * (log_w[IDX_H] + log_w[IDX_L])
+            z.imag = root_lam * (r[IDX_H] - r[IDX_L]) * f
+        x = np.exp(z, out=z) @ u                           # (B,)
+        n_mu = np.exp(log_w).sum(axis=-1)                  # (2, B) or (2, 1)
+        total = n_mu[IDX_H] + n_mu[IDX_L]
+        flavor = (np.abs(flavors) ** 2 @ n_mu
+                  + 2.0 * (cross[:, None] * np.exp(-1j * dm * t) * x).real)
+        p[:, :2] = (flavor / total).T
+        p[:, 2:] = (n_mu / total).T
+        _, mean[row], m2[row] = _moments(p)
     return len(indices), mean, m2
 
 
@@ -321,8 +344,8 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
     noise streams are derived from (seed, trajectory index) with a
     counter-based generator, and the chunks' moments are merged in fixed
     chunk order, so the result is bit-reproducible.  Every chunk runs on
-    ``model`` itself, in this process; the chunk size comes from its
-    n_channels normals per sample time and the amplitude row, not from dt.
+    ``model`` itself, in this process; the chunk size comes from what a
+    trajectory draws and holds, not from dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -343,7 +366,7 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
     steps = sorted(set(sample_steps.tolist()))
     if spec.kind == "ito-nonlinear":
         # the collapse log-weights' coefficient -2 lam t, formed as
-        # ``_collapse_states`` forms it, at the last sample time
+        # ``_run_chunk`` forms it, at the last sample time
         t = spec.dt * max(steps, default=0)
         with np.errstate(over="ignore"):                  # rejected at once
             coefficient = 2.0 * np.sqrt(model.coupling) ** 2 * t
@@ -351,8 +374,9 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
             raise ParameterError("the damping exponent at t=%g overflows" % t)
     if batch_size is None:
         # what one trajectory draws and holds fixes the chunk boundaries, and
-        # so the reduction order: n_channels normals per sample time and one
-        # complex amplitude row
+        # so the reduction order: n_channels normals per sample time, and at
+        # most 32 bytes per grid point at one sample time -- its field row
+        # with two log-weight rows (collapse) or one complex exponential row
         per_traj = (8 * len(steps) * model.n_channels
                     + 16 * initial.amplitudes.size)
         batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))

@@ -39,6 +39,8 @@ class TransitionRecord:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
 
     def validate(self, tol=1e-9):
+        """Both columns sum to 1 and each lies in [0, 1], within err =
+        3 hypot(stderr_same, stderr_other) + tol."""
         total = self.p_same + self.p_other
         err = 3.0 * np.hypot(self.stderr_same, self.stderr_other) + tol
         # written so that a NaN anywhere fails the check
@@ -46,6 +48,12 @@ class TransitionRecord:
             raise InvariantViolationError(
                 "p_same + p_other deviates from 1 by up to %g"
                 % float(np.max(np.abs(total - 1.0))))
+        for name in ("p_same", "p_other"):
+            p = getattr(self, name)
+            if not np.all((p >= -err) & (p <= 1.0 + err)):
+                raise InvariantViolationError(
+                    "%s lies outside [0, 1] by up to %g"
+                    % (name, float(np.max(np.maximum(-p, p - 1.0)))))
         return self
 
 

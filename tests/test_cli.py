@@ -1,5 +1,6 @@
 """Tests for the command-line experiment runner."""
 
+import collections
 import contextlib
 import gc
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from mesoncollapse import DensityBlocks, build_csl
 from mesoncollapse.cli import _COMMANDS, _SCHEMA, build_parser, entry, main
@@ -457,13 +458,19 @@ def _schema_values(key):
 @st.composite
 def _cli_runs(draw):
     """(command, {key: (value, spelled ``--key value``?)}, write to --out?)
-    over 1-6 keys of the table; a key not spelled apart is ``--key=value``."""
+    over 1-6 keys of the table; a key not spelled apart is ``--key=value``.
+    Half the ``dyson`` runs draw ``lambda`` alone, from [0, 1e300]: past a
+    coupling of about 0.1 the truncated series leaves [0, 1] or the float
+    range, a numerical failure (exit 1)."""
     keys = draw(st.lists(st.sampled_from([k for k in _SCHEMA if k != "out"]),
                          min_size=1, max_size=6, unique=True))
-    return (draw(st.sampled_from(list(_COMMANDS))),
-            {key: (draw(_schema_values(key)), draw(st.booleans()))
-             for key in keys},
-            draw(st.booleans()))
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    values = {key: (draw(_schema_values(key)), draw(st.booleans()))
+              for key in keys}
+    if command == "dyson" and draw(st.booleans()):
+        values = {"lambda": (draw(st.floats(min_value=0.0, max_value=1e300)),
+                             draw(st.booleans()))}
+    return command, values, draw(st.booleans())
 
 
 def _cells(text, fmt):
@@ -483,6 +490,10 @@ def _cells(text, fmt):
     return cells
 
 
+# exit status -> examples of the property below that ended with it
+_EXIT_STATUSES = collections.Counter()
+
+
 class TestExitContractProperty:
 
     @settings(max_examples=600, deadline=None)
@@ -491,7 +502,8 @@ class TestExitContractProperty:
         """0, 1 or 2 from ``main`` for any command and keys of the table:
         no exception and no warning; finite cells on 0; on 1 one line, a
         ``numerical error:`` with no output or the ``compare`` FAIL verdict;
-        on 2 one ``config error:`` line and no output file."""
+        on 2 one ``config error:`` line and no output file.  Each example's
+        status is recorded as a Hypothesis event."""
         command, values, to_file = run
         argv = [command]
         for key, (value, apart) in values.items():
@@ -509,6 +521,8 @@ class TestExitContractProperty:
                 code = main(argv)
             text = path.read_text() if path.exists() else out.getvalue()
         assert code in (0, 1, 2), argv
+        event("exit %d" % code)
+        _EXIT_STATUSES[code] += 1
         assert caught == [], (argv, [str(w.message) for w in caught])
         if code == 0:
             fmt = values.get("format", ("csv",))[0]
@@ -522,6 +536,14 @@ class TestExitContractProperty:
             assert err.getvalue().startswith("config error:"), argv
             assert err.getvalue().count("\n") == 1, argv
             assert text == "", argv
+
+    def test_the_property_reaches_every_exit_status(self):
+        """The property's fixed example set ends with 0, with 1 and with 2
+        at least once each, so each of its three clauses is exercised; run
+        alone, this test runs the property first."""
+        if not _EXIT_STATUSES:
+            self.test_every_config_keeps_the_exit_contract()
+        assert all(_EXIT_STATUSES[code] >= 1 for code in (0, 1, 2)), _EXIT_STATUSES
 
 
 _CSL_64 = ["--model", "csl", "--gamma", "0.4", "--rc", "1.0",
@@ -558,21 +580,21 @@ class TestOutputDigests:
          "808483aa7a8c7436beeaa309de26b1751b7a5e5782d09bc9d470e1d81eb5a22b"),
         (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
          + ["--integrator", "ito-nonlinear"],
-         "981611728c99400c50b3dac276874e7561d412b8a2385c6df38af057ac430dc9"),
+         "2c22718e2c18824a715906cdefa9066c2a85682cfd6812b321c6316f69e86e79"),
         (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
          + ["--integrator", "ito-linear"],
-         "2dd83512b567c6b91fb89b0dc3951ee082e1e7ce1d859ac53c8ee32031a29a11"),
+         "4c2ad80a4d93f9b80d38b8620de22b2e975df6f0389c0e60fab37998480d69bf"),
         (["ensemble"] + _CSL_64 + _SMALL_ENSEMBLE
          + ["--integrator", "stratonovich"],
-         "40ea85000ab8244cb5d9b7c4b206cf4a1450d24d045382a6e968c31a0dcd08c9"),
+         "6deb3cffb16830da91e92aa7cb834a3fed37c8ed7bc2777002a9fb7bdd62cb5f"),
         (["ensemble"] + _QMUPL_64 + _SMALL_ENSEMBLE
          + ["--integrator", "wong-zakai", "--eps", "0.1"],
-         "bcf03260fae385af765c7a45941e627d57e671859185b8fde58e800d06960a99"),
+         "8605ce06a7fc04ef3c0f567fa20f1ff8372dd2be7150e919c53f9156d21edbc1"),
         (["compare"] + _CSL_64 + _SMALL_ENSEMBLE
          + ["--integrator", "ito-nonlinear"],
-         "d9ef196dff346a85e792ff1f0670d45965f018d58c97e0918250767cd1d1d409"),
+         "4c33b7f3c21a0df8005ff9e0c6a14915580421472bff5af9e2f51d36de6ab6ab"),
         (["compare"] + _QMUPL_64 + _SMALL_ENSEMBLE + ["--format", "json"],
-         "6f40b62cc048851de325bc7638933623d5087a54da6e6c54e377b77ee5d2fd5d"),
+         "3b9af8bdae98fa43e09e1d767085bfb44b0abc7db2a40586afc0066d2fd00ae3"),
     ], ids=["exact", "exact-csl-dim3", "me-csl", "me-qmupl-dim3", "dyson",
             "theta-check", "ito-nonlinear", "ito-linear", "stratonovich",
             "wong-zakai", "compare", "compare-json"])
@@ -624,6 +646,21 @@ class TestOptionTable:
             assert captured.err.count("\n") == 1, argv
             errors.append(captured.err)
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("args,unrecognized", [
+        (["exact", "--gam", "-1e5", "--samples", "2"], "--gam -1e5"),
+        (["exact", "--samp", "2"], "--samp 2"),
+        (["exact", "--gamma=0.1", "--integ=ito-linear"], "--integ=ito-linear")])
+    def test_abbreviated_flag_is_a_usage_error(self, args, unrecognized,
+                                               capsys):
+        """No prefix of a flag stands for the flag: argparse's usage error,
+        exit 2, names it among the unrecognized arguments."""
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: %s" % unrecognized in captured.err
 
     def test_options_may_precede_the_command(self, capsys):
         flags = ["--model", "csl", "--gamma", "0.4", "--tmax", "1",
@@ -710,6 +747,18 @@ class TestMeAndDyson:
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dyson_outside_the_unit_interval_is_numerical_error(self, capsys):
+        """At lam = 2 the order-2 series gives p_same = 7.035 at t = 6.4,
+        with p_same + p_other = 1: a numerical failure with one line and no
+        rows, not a table with status 0."""
+        code = run_cli(["dyson", "--lambda", "2", "--order", "2", "--samples",
+                        "3", "--grid-points", "64"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: p_same lies outside")
+        assert captured.err.count("\n") == 1
 
     def test_dyson_overflow_prints_no_warning(self, capsys):
         """The diverging truncation exits 1 with no rows and no RuntimeWarning."""

@@ -1,6 +1,7 @@
 """Tests for trajectory integrators and ensemble averaging."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mesoncollapse import (MOLLIFIER_KINDS, DensityBlocks, Grid, GridState,
                            sample_wiener, step_ito_linear, step_ito_nonlinear,
                            step_stratonovich)
 from mesoncollapse.core import IDX_L
+from mesoncollapse.models import CSL, QMUPL
 from mesoncollapse import integrators
 from mesoncollapse.integrators import (INTEGRATOR_KINDS, _mean_stderr,
                                       _merge_moments, _moments, _run_chunk)
@@ -216,10 +218,11 @@ class TestWongZakai:
 
     @pytest.mark.parametrize("kind", MOLLIFIER_KINDS)
     def test_ensemble_path_draws_through_gaussian_factor(self, kind):
-        """One run_ensemble trajectory is psi_0 exp(-iHt + i sqrt(lam)
-        field(W^eps(t))) with W^eps = L z at the sample times: z the
-        trajectory's stream (21, 0), one normal per sample time and channel,
-        and L the ``gaussian_factor`` of the window weights."""
+        """The driving process of one trajectory is, bit for bit, W^eps = L z
+        at the sample times: z the trajectory's stream (21, 0), one normal
+        per sample time and channel, and L the ``gaussian_factor`` of the
+        window weights; its P(M0) is that of psi_0 exp(-iHt + i sqrt(lam)
+        field(W^eps(t)))."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         m = Mollifier(kind, 0.08)
         dt, n_steps = m.eps / 4.0, 24
@@ -234,11 +237,10 @@ class TestWongZakai:
         z = path_generator(21, 0).standard_normal((2, model.n_channels))
         w_eps = gaussian_factor(weights, dt) @ z
         for k, t in enumerate(times):
+            assert np.array_equal(path[k], w_eps[k][None])
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t
                 + 1j * np.sqrt(0.3) * model.field(w_eps[k])), grid)
-            amp = path[k][0]
-            assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
 
@@ -321,11 +323,12 @@ class TestWongZakai:
 class TestRunEnsemble:
 
     def test_single_trajectory_equals_direct_run(self):
-        """One collapse trajectory is psi_0 exp(-iHt + sqrt(lam) A Y_t -
-        lam A^2 t), normalized, with Y_t = W_t + 2 sqrt(lam) A(xi) t rebuilt
-        from the trajectory's own noise stream: first one uniform, which
-        picks xi from the cumulative |psi_0|^2, then one normal per channel
-        for each of the segments of 20 and 30 steps."""
+        """The driving process of one collapse trajectory is, bit for bit,
+        Y_t = W_t + 2 sqrt(lam) A(xi) t rebuilt from the trajectory's own
+        noise stream: first one uniform, which picks xi from the cumulative
+        |psi_0|^2, then one normal per channel for each of the segments of
+        20 and 30 steps.  Its P(M0) is that of psi_0 exp(-iHt + sqrt(lam)
+        A Y_t - lam A^2 t), normalized."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         dt, times = 0.01, np.array([0.2, 0.5])
         spec = IntegratorSpec("ito-nonlinear", dt)
@@ -341,13 +344,12 @@ class TestRunEnsemble:
         z = rng.standard_normal((2, model.n_channels))
         w = np.cumsum(z * np.sqrt(dt * np.array([20, 30]))[:, None], axis=0)
         for k, t in enumerate(times):
-            y_t = w[k] + 2.0 * np.sqrt(0.3) * a_xi * t
+            y_t = w[k] + 2.0 * np.sqrt(0.3) * t * a_xi
+            assert np.array_equal(path[k], y_t[None])
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t
                 + np.sqrt(0.3) * np.einsum("i,inm->nm", y_t, a)
                 - 0.3 * np.sum(a ** 2, axis=0) * t), grid).normalized()
-            amp = GridState(path[k][0], grid).normalized()
-            assert np.max(np.abs(amp.amplitudes - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
 
@@ -393,9 +395,10 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("kind", ["ito-linear", "stratonovich"])
     def test_linear_kinds_equal_pathwise_exact_solution(self, kind):
-        """One trajectory is psi_0 exp(-iHt + i sqrt(lam) A W_t), with W_t
-        the summed per-segment draws of the trajectory's own noise stream:
-        one normal per channel for each of the segments of 20 and 30 steps."""
+        """The driving process of one trajectory is, bit for bit, W_t, the
+        summed per-segment draws of the trajectory's own noise stream: one
+        normal per channel for each of the segments of 20 and 30 steps.  Its
+        P(M0) is that of psi_0 exp(-iHt + i sqrt(lam) A W_t)."""
         params, grid, model, state0 = qmupl_setup(lam=0.3)
         dt, times = 0.01, np.array([0.2, 0.5])
         spec = IntegratorSpec(kind, dt)
@@ -407,11 +410,10 @@ class TestRunEnsemble:
         w = np.cumsum(z * np.sqrt(dt * np.array([20, 30]))[:, None], axis=0)
         for k, t in enumerate(times):
             w_t = w[k]
+            assert np.array_equal(path[k], w_t[None])
             field = np.einsum("i,inm->nm", w_t, model.channels)
             exact = GridState(state0.amplitudes * np.exp(
                 -1j * model.hamiltonian * t + 1j * np.sqrt(0.3) * field), grid)
-            amp = path[k][0]
-            assert np.max(np.abs(amp - exact.amplitudes)) < 1e-12
             assert res.flavor_mean[k, 0] == pytest.approx(
                 exact.flavor_probability("M0"), abs=1e-12)
 
@@ -718,3 +720,103 @@ class TestCslEnsembleProperty:
                                          times, 0.01).p_same
         for mean, p in ((res.flavor_mean[:, 0], p_same), (res.mass_mean[:, 0], 0.5)):
             assert np.all(np.abs(mean - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n_traj))
+
+
+def amplitude_route(model, kind, amp0, t, w_t):
+    """psi_t of one trajectory built explicitly from its driving process
+    w_t and normalized: the route the field reduction replaces.  The
+    collapse log-weights are shifted by their maximum over the support of
+    psi_0, and the other entries stay 0."""
+    root_lam = np.sqrt(model.coupling)
+    field = model.field(w_t)                                  # (n, 2)
+    phase = model.hamiltonian * t
+    if kind != "ito-nonlinear":
+        amp = amp0 * np.exp(1j * (root_lam * field - phase))
+    else:
+        prob = np.abs(amp0) ** 2
+        on = prob > 0
+        log_w = (np.log(prob[on]) + 2.0 * root_lam * field[on]
+                 - 2.0 * model.coupling * t
+                 * np.multiply.outer(model.profile_square_sum(),
+                                     model.mass_ratio ** 2)[on])
+        amp = np.zeros_like(amp0)
+        amp[on] = (amp0[on] / np.sqrt(prob[on])
+                   * np.exp(0.5 * (log_w - log_w.max())
+                            - 1j * np.broadcast_to(phase, amp0.shape)[on]))
+    return GridState(amp, model.grid).normalized()
+
+
+class TestFieldReduction:
+    """``_run_chunk`` reduces every kind from the real field w_t G, with no
+    amplitude batch; the amplitude route stays here as its reference."""
+
+    @given(label=st.sampled_from([CSL, QMUPL]),
+           n=st.integers(min_value=32, max_value=64),
+           coupling=st.floats(min_value=0.01, max_value=1.0),
+           kind=st.sampled_from(INTEGRATOR_KINDS),
+           initial=st.sampled_from(["M0", "M0bar", "H", "L"]),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           steps=st.lists(st.integers(min_value=1, max_value=300),
+                          min_size=1, max_size=3, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_each_trajectory_matches_its_state(self, label, n, coupling, kind,
+                                               initial, seed, steps):
+        """For every trajectory, run as a chunk of one, [P(M0), P(M0bar),
+        P(H), P(L)] of the reduction equal those of its explicitly built,
+        normalized psi_t within 1e-13, at up to 3 sample times to t = 3."""
+        grid = Grid.centered(n, 8.0)
+        if label == CSL:
+            params = ModelParams(gamma=coupling, rC=4.0 * grid.spacing)
+            model = build_csl(params, grid)
+        else:
+            params = ModelParams(lam=coupling)
+            model = build_qmupl(params, grid)
+        amp0 = make_gaussian_state(params, grid, initial).amplitudes
+        dt, steps = 0.01, sorted(steps)
+        mollifier = Mollifier("gaussian", 0.04) if kind == "wong-zakai" else None
+        spec = IntegratorSpec(kind, dt, mollifier=mollifier)
+        for traj in range(3):
+            _, mean, m2 = _run_chunk(model, spec, amp0, steps[-1], steps, seed,
+                                     range(traj, traj + 1))
+            w = integrators._exact_path(model, spec, amp0, steps[-1], steps,
+                                        [path_generator(seed, traj)])
+            for row, (step, w_t) in enumerate(zip(steps, w)):
+                state = amplitude_route(model, kind, amp0, step * dt, w_t[0])
+                expected = [state.flavor_probability("M0"),
+                            state.flavor_probability("M0bar"),
+                            *state.mass_populations()]
+                assert np.max(np.abs(mean[row] - expected)) <= 1e-13
+            assert np.all(m2 == 0.0)
+
+
+class TestChunkMemory:
+
+    @pytest.mark.parametrize("kind", INTEGRATOR_KINDS)
+    def test_chunk_peak_is_the_draws_and_a_few_field_rows(self, kind):
+        """On the csl-field bench model (96 points and channels, 86
+        trajectories, 8 sample times) one chunk's traced peak stays within
+        its draw buffer, T B nc 8 bytes = 0.53 MB, plus 10 B n 8 bytes: the
+        field, the log-weights and the exponentials of one sample time and
+        the trajectories' generators.  A (B, n, 2) complex amplitude batch
+        per time, with its einsum, peaked at 1.5-2.2 MB."""
+        params = ModelParams(gamma=0.3, rC=1.0)
+        grid = Grid.centered(96, 16.0)
+        model = build_csl(params, grid)
+        amp0 = make_gaussian_state(params, grid, "M0").amplitudes
+        if kind == "wong-zakai":
+            spec = IntegratorSpec(kind, 0.0125, mollifier=Mollifier("gaussian", 0.05))
+        else:
+            spec = IntegratorSpec(kind, 0.001)
+        n_steps = int(round(2.0 / spec.dt))
+        steps = [n_steps * k // 8 for k in range(1, 9)]
+        n_traj, nc, n = 86, model.n_channels, grid.n_points
+        run = functools.partial(_run_chunk, model, spec, amp0, n_steps, steps,
+                                1, range(n_traj))
+        run()                        # G, cached on the model, is built here
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(steps) * n_traj * nc + 10 * 8 * n_traj * n

@@ -365,6 +365,26 @@ class TestTransitionRecord:
                              stderr_same=np.zeros(2), stderr_other=np.zeros(2),
                              source="exact-closed-form").validate()
 
+    @pytest.mark.parametrize("p_same", [7.035, -0.25, 1.0 + 2e-9, -2e-9])
+    def test_validate_rejects_a_probability_outside_the_unit_interval(self, p_same):
+        """A pair that sums to 1 with one column outside [0, 1] by more
+        than the tolerance is a numerical failure."""
+        from mesoncollapse import TransitionRecord
+        t = np.array([1.0, 2.0])
+        record = TransitionRecord(times=t, p_same=np.array([0.5, p_same]),
+                                  p_other=1.0 - np.array([0.5, p_same]),
+                                  stderr_same=np.zeros(2),
+                                  stderr_other=np.zeros(2), source="dyson-2")
+        with pytest.raises(InvariantViolationError, match="outside \\[0, 1\\]"):
+            record.validate()
+
+    def test_validate_allows_the_unit_interval_within_tolerance(self):
+        from mesoncollapse import TransitionRecord
+        p = np.array([0.0, 1.0, -5e-10, 1.0 + 5e-10, 0.3])
+        TransitionRecord(times=np.arange(1.0, 6.0), p_same=p, p_other=1.0 - p,
+                         stderr_same=np.zeros(5), stderr_other=np.zeros(5),
+                         source="dyson-2").validate()
+
     def test_validate_catches_nan(self):
         from mesoncollapse import TransitionRecord
         t = np.array([0.0, 1.0])
