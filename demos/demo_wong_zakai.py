@@ -5,7 +5,7 @@ by the smoothed noise approaches the Stratonovich solution on the same
 path as the smoothing width eps shrinks.  This script shows the terminal
 state distance falling roughly like sqrt(eps) on a handful of paths.
 
-Run:  python3 demos/demo_wong_zakai.py       (about a minute)
+Run:  python3 demos/demo_wong_zakai.py       (a few seconds)
 """
 
 import numpy as np

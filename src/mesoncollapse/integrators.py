@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (IDX_H, IDX_L, GridState, InvariantViolationError,
                    ParameterError, flavor_to_mass, integer_steps)
-from .master_eq import TransitionRecord
+from .master_eq import TransitionRecord, _taylor_exp
 from .noise import (MAX_NOISE_BYTES, Mollifier, _require_resolved,
                     gaussian_factor, path_generator, window_integrals)
 
@@ -129,11 +129,12 @@ def step_stratonovich(state, model, dW, dt):
     """Single Heun step of the Stratonovich SDE.
 
     For the commuting diagonal generator G = -iH dt + i sqrt(lam) A dW the
-    predictor-corrector pair collapses to psi (1 + G + G^2/2).
+    predictor-corrector pair collapses to psi (1 + G + G^2/2), the order-2
+    Taylor polynomial of exp that the Dyson series also truncates to.
     """
     state.validate(tol=0.05)
     g = _unitary_exponent(model, dt, dW)
-    return GridState(state.amplitudes * (1.0 + g + 0.5 * g * g), state.grid)
+    return GridState(state.amplitudes * _taylor_exp(g, 2), state.grid)
 
 
 def _rk4_factorized(amp, m0, mh, m1, dt):
@@ -335,8 +336,7 @@ def _run_chunk(model, spec, amp0, n_steps, steps, seed, indices):
     return len(indices), mean, m2
 
 
-def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
-                 batch_size=None):
+def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times):
     """Stream ``n_traj`` trajectories and accumulate their observables.
 
     Each chunk of trajectories reduces to one (n, mean, M2) triple over
@@ -344,8 +344,10 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
     noise streams are derived from (seed, trajectory index) with a
     counter-based generator, and the chunks' moments are merged in fixed
     chunk order, so the result is bit-reproducible.  Every chunk runs on
-    ``model`` itself, in this process; the chunk size comes from what a
-    trajectory draws and holds, not from dt.
+    ``model`` itself, in this process.  The chunk size, and so the
+    reduction order, is fixed by what a trajectory draws and holds: as many
+    trajectories as fit in ``noise.MAX_NOISE_BYTES``, 1 to 2500, whatever
+    dt.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1, got %d" % n_traj)
@@ -372,14 +374,12 @@ def run_ensemble(model, spec, initial, t_max, n_traj, seed, sample_times,
             coefficient = 2.0 * np.sqrt(model.coupling) ** 2 * t
         if not np.isfinite(coefficient):
             raise ParameterError("the damping exponent at t=%g overflows" % t)
-    if batch_size is None:
-        # what one trajectory draws and holds fixes the chunk boundaries, and
-        # so the reduction order: n_channels normals per sample time, and at
-        # most 32 bytes per grid point at one sample time -- its field row
-        # with two log-weight rows (collapse) or one complex exponential row
-        per_traj = (8 * len(steps) * model.n_channels
-                    + 16 * initial.amplitudes.size)
-        batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
+    # what one trajectory draws and holds fixes the chunk boundaries, and so
+    # the reduction order: n_channels normals per sample time, and at most
+    # 32 bytes per grid point at one sample time -- its field row with two
+    # log-weight rows (collapse) or one complex exponential row
+    per_traj = 8 * len(steps) * model.n_channels + 16 * initial.amplitudes.size
+    batch_size = int(np.clip(MAX_NOISE_BYTES // per_traj, 1, 2500))
     edges = list(range(0, n_traj, batch_size)) + [n_traj]
     partials = [_run_chunk(model, spec, initial.amplitudes, n_steps, steps,
                            int(seed), range(a, b))

@@ -100,16 +100,6 @@ def decoherence_rates(model):
                   model.profile.T @ model.profile)
 
 
-def _hl_diagonal_rate(model):
-    """rate[H, L, x, x] = (coupling/2) (r_H - r_L)^2 sum_i G_i(x)^2, shape (n,).
-
-    The x = y diagonal of the HL block of ``decoherence_rates`` in O(nc n).
-    """
-    r = model.mass_ratio
-    return (0.5 * model.coupling * (r[IDX_H] - r[IDX_L]) ** 2
-            * model.profile_square_sum())
-
-
 def _phase_rates(hamiltonian):
     """-i (m_mu - m_nu) for each block, shape (2, 2)."""
     h = np.asarray(hamiltonian, dtype=float)
@@ -240,7 +230,6 @@ def me_flavor_probabilities(model, rho0, times, dt, dim=1):
     (``require_me_dim``).
     """
     require_me_dim(model.label, dim)
-    rho0.validate(tol=1e-8)
     times, amplitudes = _interference_series(model, rho0, times, dt)
     z_re = amplitudes.real
     env = 2.0 * np.abs(amplitudes)
@@ -254,32 +243,37 @@ def me_envelope(model, rho0, times, dt):
     return 2.0 * np.abs(amplitudes)
 
 
-def _hl_diagonal(model, rho0):
-    """(phase, r, z0) of the x = y diagonal of the HL block.
+def _hl_diagonal(model, rho0, times):
+    """(times, phase, rate, z0) of the HL block's x = y diagonal, checked.
 
-    phase = -i(m_H - m_L), r = ``_hl_diagonal_rate``, and z0 = dx rho0^HL(x,x)
-    read from DensityBlocks or a pure GridState, so that
-    z(t) = dx sum_x rho^HL(x,x,t) = sum_x z0(x) e^{phase t} e^{-r(x) t}.
-    The HH and LL diagonals do not decay, so the flavor probabilities are
-    1/2 +- Re z(t).
+    phase = -i(m_H - m_L), rate = (coupling/2) (r_H - r_L)^2 sum_i G_i(x)^2
+    (the HL diagonal of ``decoherence_rates``, in O(nc n)) and
+    z0 = dx rho0^HL(x,x) from DensityBlocks or a pure GridState, so that
+    z(t) = sum_x z0(x) e^{phase t} S(-rate(x) t) with S = exp (grid ME) or
+    a Taylor polynomial of exp (Dyson).  The HH and LL diagonals do not
+    decay, so p_same = 1/2 + Re z.  A negative time raises ParameterError
+    and a trace off 1 by more than 1e-8 InvariantViolationError.
     """
-    phase = _phase_rates(model.hamiltonian)[IDX_H, IDX_L]
-    return phase, _hl_diagonal_rate(model), rho0.hl_diagonal()
-
-
-def _interference_series(model, rho0, times, dt):
-    """z(t) = dx sum_x rho0^HL(x,x) exp[(-i(m_H - m_L) - r(x)) t] per time.
-
-    Only the x = y diagonal of the HL block enters and every entry evolves by
-    its own exponential, so this costs O(nc n + n T).  As for
-    ``evolve_me_numeric``, every time must be a multiple of dt.
-    """
+    rho0.validate(tol=1e-8)
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ParameterError("times must be nonnegative")
+    r = model.mass_ratio
+    rate = (0.5 * model.coupling * (r[IDX_H] - r[IDX_L]) ** 2
+            * model.profile_square_sum())
+    return (times, _phase_rates(model.hamiltonian)[IDX_H, IDX_L], rate,
+            rho0.hl_diagonal())
+
+
+def _interference_series(model, rho0, times, dt):
+    """z(t) = sum_x z0(x) exp[(phase - rate(x)) t] per time (``_hl_diagonal``).
+
+    Every entry evolves by its own exponential, so this costs O(nc n + n T).
+    As for ``evolve_me_numeric``, every time must be a multiple of dt.
+    """
+    times, phase, rate, z0 = _hl_diagonal(model, rho0, times)
     steps = integer_steps(times, dt, max(dt, float(np.max(times, initial=dt))),
                           "every sample time must be an integer multiple of dt")
-    phase, rate, z0 = _hl_diagonal(model, rho0)
     return times, np.exp(np.multiply.outer(steps * dt, phase - rate)) @ z0
 
 
@@ -299,14 +293,12 @@ def dyson_flavor_probabilities(model, rho0, times, order):
     """Order-k Dyson flavor probabilities at the sample times.
 
     What ``dyson_expand`` followed by ``transition_probability(rho, "M0")``
-    gives, read from the HL diagonal alone in O(nc n + n T):
-    p_same = 1/2 + Re z with z(t) = e^{-i(m_H - m_L) t} sum_x z0(x) T_k(-r(x) t)
-    and T_k the order-k Taylor polynomial of exp.  A truncation that
-    overflows gives non-finite rows, which ``TransitionRecord.validate``
-    rejects.
+    gives, read from the checked HL diagonal (``_hl_diagonal``) in
+    O(nc n + n T): z(t) = e^{phase t} sum_x z0(x) T_k(-rate(x) t), with T_k
+    the order-k Taylor polynomial of exp.  A truncation that overflows gives
+    non-finite rows, which ``TransitionRecord.validate`` rejects.
     """
-    times = np.asarray(times, dtype=float)
-    phase, rate, z0 = _hl_diagonal(model, rho0)
+    times, phase, rate, z0 = _hl_diagonal(model, rho0, times)
     with np.errstate(over="ignore", invalid="ignore"):
         series = _taylor_exp(-np.multiply.outer(times, rate), order)   # (T, n)
         z = np.exp(phase * times) * (series @ z0)

@@ -575,6 +575,10 @@ class TestOutputDigests:
          "dfcf1f228521e50d71e04c9b8da2cc112ed6b608e0baf23cfbbda7f5ffa96030"),
         (["dyson"] + _CSL_64 + ["--tmax", "2", "--samples", "3", "--order", "2"],
          "56f823f7b491dadd0dbc07428cd776170b4dd3e228ba85c3890c0e62205bac9d"),
+        (["dyson"] + _CSL_64 + ["--tmax", "2", "--samples", "3", "--order", "0"],
+         "7d996605041d071830efb7773f0586d33e23f47a84be8e8f7c299f2b581b640f"),
+        (["dyson"] + _QMUPL_64 + ["--tmax", "2", "--samples", "3", "--order", "1"],
+         "689a6123f78ddc8649849b4913aaab0601d66a79572e591a8db5471fe3c47104"),
         (["theta-check", "--tmax", "1", "--eps", "0.05", "--ntraj", "200",
           "--seed", "3"],
          "808483aa7a8c7436beeaa309de26b1751b7a5e5782d09bc9d470e1d81eb5a22b"),
@@ -596,7 +600,7 @@ class TestOutputDigests:
         (["compare"] + _QMUPL_64 + _SMALL_ENSEMBLE + ["--format", "json"],
          "3b9af8bdae98fa43e09e1d767085bfb44b0abc7db2a40586afc0066d2fd00ae3"),
     ], ids=["exact", "exact-csl-dim3", "me-csl", "me-qmupl-dim3", "dyson",
-            "theta-check", "ito-nonlinear", "ito-linear", "stratonovich",
+            "dyson-order0", "dyson-order1-qmupl", "theta-check", "ito-nonlinear", "ito-linear", "stratonovich",
             "wong-zakai", "compare", "compare-json"])
     def test_stdout_digest(self, args, digest, capsys):
         assert run_cli(args) == 0

@@ -18,8 +18,9 @@ from mesoncollapse.core import IDX_L
 from mesoncollapse.models import CSL, QMUPL
 from mesoncollapse import integrators
 from mesoncollapse.integrators import (INTEGRATOR_KINDS, _mean_stderr,
-                                      _merge_moments, _moments, _run_chunk)
-from mesoncollapse.master_eq import _hl_diagonal
+                                      _merge_moments, _moments, _run_chunk,
+                                      _unitary_exponent)
+from mesoncollapse.master_eq import _hl_diagonal, _taylor_exp
 from mesoncollapse.noise import (MollifiedNoise, NoisePath, gaussian_factor,
                                  path_generator, window_integrals)
 
@@ -88,6 +89,30 @@ class TestNoiseFreeLimit:
 
 
 class TestPathwiseProperties:
+
+    @pytest.mark.parametrize("setup", ["criterion-6-csl", "qmupl-bench"])
+    def test_heun_step_is_the_order_2_taylor_polynomial(self, setup):
+        """The Heun step psi (1 + g + g^2/2) is psi ``_taylor_exp(g, 2)``,
+        the Dyson series' order-2 polynomial, bit for bit for 200 random
+        increments on criterion 6's CSL model (dt = eps/8 at eps = t/40)
+        and on the QMUPL bench model (dt = 1e-3)."""
+        if setup == "criterion-6-csl":
+            params = ModelParams(gamma=0.5, rC=0.25, alpha=49.0)
+            grid = Grid.centered(896, 56.0)
+            model, dt = build_csl(params, grid), 0.05 / 8.0
+            state = make_gaussian_state(params, grid, "M0")
+        else:
+            _, _, model, state = qmupl_setup(lam=0.2)
+            dt = 1e-3
+        rng = path_generator(12)
+        for _ in range(200):
+            dW = rng.normal(0.0, np.sqrt(dt), size=model.n_channels)
+            g = _unitary_exponent(model, dt, dW)
+            heun = 1.0 + g + 0.5 * g * g
+            assert _taylor_exp(g, 2).tobytes() == heun.tobytes()
+            step = step_stratonovich(state, model, dW, dt)
+            assert step.amplitudes.tobytes() == (state.amplitudes
+                                                 * heun).tobytes()
 
     def test_mass_purity_per_trajectory(self):
         """A pure mass eigenstate never develops the other component."""
@@ -313,7 +338,7 @@ class TestWongZakai:
         _, weights = window_integrals(m, times, 2.0, dt)
         v = dt * np.sum(weights ** 2, axis=1)
         assert np.allclose(times - v, 2.0 * m.eps / np.sqrt(np.pi), atol=1e-4)
-        phase, rate, z0 = _hl_diagonal(model, state0)
+        _, phase, rate, z0 = _hl_diagonal(model, state0, times)
         p_same = 0.5 + (np.exp(phase * times)
                         * (np.exp(-np.multiply.outer(v, rate)) @ z0)).real
         z = (res.flavor_mean[:, 0] - p_same) / res.flavor_stderr[:, 0]
@@ -602,18 +627,22 @@ class TestStreamedMoments:
         assert np.all(np.abs(m2 / (n - 1) - expected) <= 1e-14 * expected)
 
     @pytest.mark.parametrize("kind", INTEGRATOR_KINDS)
-    def test_ensemble_is_its_chunks_merged_in_order(self, kind):
-        """10 trajectories run in chunks of 4, 4 and 2: every output is, bit
-        for bit, ``_run_chunk`` of each chunk merged in chunk order."""
+    def test_ensemble_is_its_chunks_merged_in_order(self, monkeypatch, kind):
+        """10 trajectories run in chunks of 4, 4 and 2 (the noise cap set to
+        4 trajectories' 32 normals per sample time and amplitude row): every
+        output is, bit for bit, ``_run_chunk`` of each chunk merged in chunk
+        order."""
         params = ModelParams(gamma=0.3, rC=1.0)
         grid = Grid.centered(32, 8.0)
         model = build_csl(params, grid)
         state0 = make_gaussian_state(params, grid, "M0")
+        monkeypatch.setattr(integrators, "MAX_NOISE_BYTES",
+                            4 * (8 * 2 * 32 + 16 * state0.amplitudes.size))
         mollifier = (Mollifier("asymmetric-triangle", 0.04)
                      if kind == "wong-zakai" else None)
         spec = IntegratorSpec(kind, 0.01, mollifier=mollifier)
         res = run_ensemble(model, spec, state0, 0.1, 10, seed=5,
-                           sample_times=even_times(0.1, 2), batch_size=4)
+                           sample_times=even_times(0.1, 2))
         chunks = (_run_chunk(model, spec, state0.amplitudes, 10, [5, 10], 5,
                              indices)
                   for indices in (range(0, 4), range(4, 8), range(8, 10)))
@@ -669,11 +698,13 @@ class TestReducedNoise:
     @pytest.mark.parametrize("kind", ["ito-nonlinear", "stratonovich"])
     def test_chunks_run_on_the_callers_model(self, monkeypatch, kind):
         """Every chunk receives the model object it was given, not a
-        rebuilt one."""
+        rebuilt one (6 trajectories in chunks of 4 and 2)."""
         model, state0 = self.csl_setup()
+        monkeypatch.setattr(integrators, "MAX_NOISE_BYTES",
+                            4 * (8 * 2 * 32 + 16 * state0.amplitudes.size))
         chunks = self.record_chunks(monkeypatch)
         run_ensemble(model, IntegratorSpec(kind, 0.01), state0, 0.2, 6,
-                     seed=2, sample_times=even_times(0.2, 2), batch_size=4)
+                     seed=2, sample_times=even_times(0.2, 2))
         assert len(chunks) == 2
         assert all(m is model for m, _ in chunks)
 

@@ -17,7 +17,7 @@ from mesoncollapse import (QMUPL, DensityBlocks, Grid, GridState,
                            qmupl_flavor_probabilities,
                            smearing_self_convolution, transition_probability)
 from mesoncollapse.core import IDX_H, IDX_L
-from mesoncollapse.master_eq import _hl_diagonal_rate
+from mesoncollapse.master_eq import _hl_diagonal
 
 
 def qmupl_setup(lam=0.2, alpha=1.0, n=64, extent=16.0, dim=1):
@@ -268,15 +268,24 @@ class TestGridMeVsClosedForm:
         assert np.max(np.abs(me.p_other - exact.p_other)) < tol
 
 
+# the routes besides ``me_flavor_probabilities`` that read the HL diagonal
+_HL_ROUTES = {
+    "dyson": lambda model, rho0, times: dyson_flavor_probabilities(
+        model, rho0, times, 2),
+    "me_envelope": lambda model, rho0, times: me_envelope(
+        model, rho0, times, 0.5),
+}
+
+
 class TestGridMeDiagonal:
     """The flavor probabilities read only the HL diagonal of the ME."""
 
     @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
     def test_hl_rate_is_diagonal_of_decoherence_rates(self, setup):
-        _, _, model, _ = setup()
+        _, _, model, rho0 = setup()
         full = np.diagonal(decoherence_rates(model)[IDX_H, IDX_L])
-        np.testing.assert_allclose(_hl_diagonal_rate(model), full,
-                                   rtol=1e-14, atol=0.0)
+        _, _, rate, _ = _hl_diagonal(model, rho0, [0.5])
+        np.testing.assert_allclose(rate, full, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("setup", [qmupl_setup, csl_setup])
     def test_matches_stepped_evolution(self, setup):
@@ -313,6 +322,25 @@ class TestGridMeDiagonal:
         _, _, model, rho0 = qmupl_setup()
         with pytest.raises(ParameterError):
             me_flavor_probabilities(model, rho0, [0.5, -0.1], dt=0.05)
+
+    @pytest.mark.parametrize("route", ["dyson", "me_envelope"])
+    def test_every_route_rejects_a_negative_time(self, route):
+        """The Dyson series and the envelope read the HL diagonal through
+        the grid ME's checks (at t = -3 this model's order-2 series gave
+        p_same = -0.285 without them)."""
+        _, _, model, rho0 = qmupl_setup(lam=0.5)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            _HL_ROUTES[route](model, rho0, [-3.0])
+
+    @pytest.mark.parametrize("route", ["dyson", "me_envelope"])
+    def test_every_route_rejects_an_unnormalized_state(self, route):
+        """A state scaled by 3 has norm 3 (the order-2 series gave
+        p_same = -3.22 for it at t = 3, and 5 at t = 0)."""
+        params, grid, model, _ = qmupl_setup(lam=0.5)
+        state = make_gaussian_state(params, grid, "M0")
+        with pytest.raises(InvariantViolationError, match="norm 3 is not 1"):
+            _HL_ROUTES[route](model, GridState(3.0 * state.amplitudes, grid),
+                              [3.0])
 
     def test_time_off_dt_grid_rejected(self):
         _, _, model, rho0 = qmupl_setup()

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesoncollapse import (DensityBlocks, Grid, ModelParams,
+from mesoncollapse import (DensityBlocks, Grid, GridState, ModelParams,
                            ParameterError, build_csl, build_hamiltonian,
                            build_qmupl, evolve_me_numeric,
                            make_gaussian_state, smearing_kernel,
                            smearing_self_convolution)
 from mesoncollapse.core import IDX_H, IDX_L
-from mesoncollapse.master_eq import (_hl_diagonal_rate, decoherence_rates,
+from mesoncollapse.master_eq import (_hl_diagonal, decoherence_rates,
                                      dyson_flavor_probabilities,
                                      me_flavor_probabilities)
 
@@ -223,7 +223,9 @@ class TestProfileFormat:
         reference = _channel_rates(model)
         tol = 1e-13 * np.max(np.abs(reference))
         assert np.max(np.abs(rates - reference)) <= tol
-        assert np.max(np.abs(_hl_diagonal_rate(model)
+        state = GridState(np.ones((n, 2)), grid).normalized()
+        _, _, hl_rate, _ = _hl_diagonal(model, state, [0.5])
+        assert np.max(np.abs(hl_rate
                              - np.diagonal(rates[IDX_H, IDX_L]))) <= tol
 
 
