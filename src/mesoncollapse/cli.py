@@ -28,9 +28,9 @@ from .core import (DensityBlocks, Grid, InvariantViolationError, ModelParams,
                    ParameterError, make_gaussian_state)
 from .integrators import (_RESOLUTION, INTEGRATOR_KINDS, IntegratorSpec,
                           run_ensemble)
-from .master_eq import (RECORD_COLUMNS, damping_exponent,
-                        dyson_flavor_probabilities, flavor_record,
-                        me_flavor_probabilities, require_me_dim)
+from .master_eq import (RECORD_COLUMNS, dyson_flavor_probabilities,
+                        flavor_record, me_flavor_probabilities,
+                        require_me_dim)
 from .models import CSL, QMUPL, build_csl, build_qmupl
 from .noise import (MOLLIFIER_KINDS, Mollifier, i_epsilon_monte_carlo,
                     i_epsilon_quadrature)
@@ -192,11 +192,6 @@ def _emit_record(config, record):
     _emit_table(config, RECORD_COLUMNS, [row + (record.source,) for row in series])
 
 
-def _require_finite_damping(exponent, t):
-    if not np.isfinite(exponent):
-        raise ParameterError("the damping exponent at t=%g overflows" % t)
-
-
 def _grid_route(config, snap, dim_rule=None):
     """(model, M0 state, sample times, snapped to dt if ``snap``) of me,
     dyson, ensemble or compare.  The dim rule, ``dim_rule`` or dim 1, runs
@@ -219,16 +214,14 @@ def _grid_route(config, snap, dim_rule=None):
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
         rate = (model.coupling * np.max(model.profile_square_sum())
                 * np.max(model.mass_ratio) ** 2)
-        _require_finite_damping(4.0 * rate * times[-1], times[-1])
+        bound = 4.0 * rate * times[-1]
+    if not np.isfinite(bound):
+        raise ParameterError("the damping exponent at t=%g overflows" % times[-1])
     return model, make_gaussian_state(params, grid, "M0"), times
 
 
 def _exact_record(config, times):
-    params = _build_params(config)
-    label = _MODELS[config["model"]]
-    _require_finite_damping(damping_exponent(params, float(times[-1]), label),
-                            times[-1])
-    return flavor_record(params, times, label)
+    return flavor_record(_build_params(config), times, _MODELS[config["model"]])
 
 
 def _me_record(config, model, state, times):

@@ -106,8 +106,20 @@ def _phase_rates(hamiltonian):
     return -1j * (h[:, None] - h[None, :])
 
 
+def _checked_start(rho0, times):
+    """``times`` as a float array, once ``rho0`` has passed ``validate`` at
+    1e-8 (a trace off 1 raises InvariantViolationError) and no time is
+    negative (ParameterError)."""
+    rho0.validate(tol=1e-8)
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ParameterError("times must be nonnegative")
+    return times
+
+
 def _evolve(rho0, hamiltonian, rate, t, series=np.exp):
     """rho0 * series(-rate t) * exp(-i(m_mu - m_nu) t), entry by entry."""
+    t = _checked_start(rho0, t)
     phase = np.exp(_phase_rates(hamiltonian)[:, :, None, None] * t)
     return DensityBlocks(rho0.blocks * series(-rate * t) * phase, rho0.grid)
 
@@ -117,9 +129,8 @@ def evolve_me_numeric(rho0, model, t, dt):
     ``decoherence_rates`` (K = G^T G).  The per-entry exponential is exact,
     so dt must divide t but sets nothing else; trace and Hermiticity hold.
     """
-    if dt <= 0 or t < 0:
-        raise ParameterError("need t >= 0 and dt > 0 (t=%g, dt=%g)" % (t, dt))
-    rho0.validate(tol=1e-8)
+    if dt <= 0:
+        raise ParameterError("need dt > 0 (t=%g, dt=%g)" % (t, dt))
     integer_steps(t, dt, max(t, dt),
                   "t=%g is not an integer number of steps dt=%g" % (t, dt))
     return _evolve(rho0, model.hamiltonian, decoherence_rates(model), t)
@@ -151,44 +162,40 @@ def evolve_me_csl_exact(rho0, params, t):
     return _evolve(rho0, m, _rates(m / params.m0, params.gamma, gram), t)
 
 
-def damping_exponent(params, t, model_label=QMUPL):
-    """x(t) in the closed-form damping: (1 + x)^(-dim/2) (QMUPL), e^-x (CSL)."""
-    if model_label == QMUPL:
-        return params.lam * params.alpha * params.dm ** 2 * t / (2.0 * params.m0 ** 2)
-    gg0 = float(smearing_self_convolution(params, 0.0, params.dim))
-    return params.gamma * params.dm ** 2 * gg0 / (2.0 * params.m0 ** 2) * t
-
-
-def qmupl_flavor_probabilities(params, t):
-    """Exact particle / anti-particle probabilities from an initial M0.
-
-    1/2 +- cos(dm t) / (2 (1 + lam alpha dm^2 t / (2 m0^2))^(dim/2)).
-    The damping is algebraic; the exponent is dim/2 per spatial dimension.
-    """
+def _closed_form(params, t, model_label):
+    """The exact flavor probabilities from M0, 1/2 +- cos(dm t) D(t) / 2, with
+    D = (1 + x)^(-dim/2) (QMUPL) or e^-x (CSL) for the damping exponent x(t);
+    a non-finite x raises ParameterError, named by the last time."""
     t = np.asarray(t, dtype=float)
-    damp = (1.0 + damping_exponent(params, t)) ** (-params.dim / 2.0)
+    qmupl = model_label == QMUPL
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        if qmupl:
+            x = params.lam * params.alpha * params.dm ** 2 * t / (2.0 * params.m0 ** 2)
+        else:
+            gg0 = float(smearing_self_convolution(params, 0.0, params.dim))
+            x = params.gamma * params.dm ** 2 * gg0 / (2.0 * params.m0 ** 2) * t
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("the damping exponent at t=%g overflows" % t.flat[-1])
+    damp = (1.0 + x) ** (-params.dim / 2.0) if qmupl else np.exp(-x)
     osc = np.cos(params.dm * t) * damp / 2.0
     return 0.5 + osc, 0.5 - osc
 
 
+def qmupl_flavor_probabilities(params, t):
+    """QMUPL closed form: 1/2 +- cos(dm t) / (2 (1 + lam alpha dm^2 t /
+    (2 m0^2))^(dim/2)); the exponent is dim/2 per spatial dimension."""
+    return _closed_form(params, t, QMUPL)
+
+
 def csl_flavor_probabilities(params, t):
-    """Exact CSL probabilities: exponentially damped oscillation.
-
-    1/2 +- cos(dm t)/2 * exp[-gamma dm^2 g*g(0) t / (2 m0^2)] with
-    g*g(0) = (4 pi rC^2)^(-dim/2).  Independent of the spatial profile.
-    """
-    t = np.asarray(t, dtype=float)
-    osc = np.cos(params.dm * t) * np.exp(-damping_exponent(params, t, CSL)) / 2.0
-    return 0.5 + osc, 0.5 - osc
+    """CSL closed form: 1/2 +- cos(dm t)/2 * exp[-gamma dm^2 g*g(0) t /
+    (2 m0^2)] with g*g(0) = (4 pi rC^2)^(-dim/2), whatever the profile."""
+    return _closed_form(params, t, CSL)
 
 
-def flavor_record(params, times, model_label=QMUPL):
-    """TransitionRecord of the closed-form probabilities."""
-    times = np.asarray(times, dtype=float)
-    if model_label == QMUPL:
-        p_same, p_other = qmupl_flavor_probabilities(params, times)
-    else:
-        p_same, p_other = csl_flavor_probabilities(params, times)
+def flavor_record(params, times, model_label):
+    """TransitionRecord of the closed-form probabilities of ``model_label``."""
+    p_same, p_other = _closed_form(params, times, model_label)
     return exact_record(times, p_same, p_other, source="exact-closed-form")
 
 
@@ -251,13 +258,9 @@ def _hl_diagonal(model, rho0, times):
     z0 = dx rho0^HL(x,x) from DensityBlocks or a pure GridState, so that
     z(t) = sum_x z0(x) e^{phase t} S(-rate(x) t) with S = exp (grid ME) or
     a Taylor polynomial of exp (Dyson).  The HH and LL diagonals do not
-    decay, so p_same = 1/2 + Re z.  A negative time raises ParameterError
-    and a trace off 1 by more than 1e-8 InvariantViolationError.
+    decay, so p_same = 1/2 + Re z.  ``_checked_start`` checks the start.
     """
-    rho0.validate(tol=1e-8)
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ParameterError("times must be nonnegative")
+    times = _checked_start(rho0, times)
     r = model.mass_ratio
     rate = (0.5 * model.coupling * (r[IDX_H] - r[IDX_L]) ** 2
             * model.profile_square_sum())

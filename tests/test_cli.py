@@ -599,9 +599,14 @@ class TestOutputDigests:
          "4c33b7f3c21a0df8005ff9e0c6a14915580421472bff5af9e2f51d36de6ab6ab"),
         (["compare"] + _QMUPL_64 + _SMALL_ENSEMBLE + ["--format", "json"],
          "3b9af8bdae98fa43e09e1d767085bfb44b0abc7db2a40586afc0066d2fd00ae3"),
+        (["exact"] + _QMUPL_64 + ["--dim", "3", "--samples", "4"],
+         "2874c262cdcf940e4ef44e9039d11909b780cadb76f83232eec6df5dc2472f0d"),
+        (["exact"] + _CSL_64 + ["--samples", "4"],
+         "c82a90013c36f31ff590ed5a402c9846eb68e411b60f9da0f9d1084004fbedd7"),
     ], ids=["exact", "exact-csl-dim3", "me-csl", "me-qmupl-dim3", "dyson",
             "dyson-order0", "dyson-order1-qmupl", "theta-check", "ito-nonlinear", "ito-linear", "stratonovich",
-            "wong-zakai", "compare", "compare-json"])
+            "wong-zakai", "compare", "compare-json", "exact-qmupl-dim3",
+            "exact-csl"])
     def test_stdout_digest(self, args, digest, capsys):
         assert run_cli(args) == 0
         out = capsys.readouterr().out

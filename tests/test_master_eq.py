@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mesoncollapse import (QMUPL, DensityBlocks, Grid, GridState,
+from mesoncollapse import (CSL, QMUPL, DensityBlocks, Grid, GridState,
                            InvariantViolationError, ModelParams,
                            ParameterError, SuperoperatorKernel, build_csl,
                            build_qmupl, csl_flavor_probabilities,
@@ -34,6 +34,17 @@ def csl_setup(gamma=0.4, rC=1.0, n=64, extent=16.0):
     model = build_csl(params, grid)
     rho0 = DensityBlocks.from_state(make_gaussian_state(params, grid, "M0"))
     return params, grid, model, rho0
+
+
+# the full-density evolvers besides ``evolve_me_numeric``: (rho0, t) -> rho
+_DENSITY_ROUTES = {
+    "dyson_expand": lambda rho0, t: dyson_expand(
+        SuperoperatorKernel.from_model(qmupl_setup(lam=0.5)[2]), rho0, t, 2),
+    "qmupl_exact": lambda rho0, t: evolve_me_qmupl_exact(
+        rho0, ModelParams(lam=0.5), t),
+    "csl_exact": lambda rho0, t: evolve_me_csl_exact(
+        rho0, ModelParams(gamma=0.3), t),
+}
 
 
 class TestNumericVsExact:
@@ -136,6 +147,23 @@ class TestNumericVsExact:
         b = evolve_me_numeric(rho0, model, t=1.5, dt=1.5)
         assert np.array_equal(a.blocks, b.blocks)
 
+    @pytest.mark.parametrize("start", ["negative-time", "state-times-3"])
+    @pytest.mark.parametrize("route", list(_DENSITY_ROUTES))
+    def test_full_density_routes_check_the_start(self, route, start):
+        """Every evolver runs the grid ME's start check.  Without it, at
+        t = -3 dyson_expand gave p_same = -0.285 and the QMUPL closed form
+        -0.490; for a state scaled by 3, at t = 1, dyson_expand gave 6.68
+        and the CSL closed form 6.83."""
+        params, grid, _, rho0 = qmupl_setup(lam=0.5)
+        if start == "negative-time":
+            with pytest.raises(ParameterError, match="nonnegative"):
+                _DENSITY_ROUTES[route](rho0, -3.0)
+        else:
+            state = make_gaussian_state(params, grid, "M0")
+            scaled = DensityBlocks.from_state(GridState(3.0 * state.amplitudes, grid))
+            with pytest.raises(InvariantViolationError, match="trace is"):
+                _DENSITY_ROUTES[route](scaled, 1.0)
+
     def test_t_zero_is_identity(self):
         params, _, _, rho0 = qmupl_setup()
         rho = evolve_me_qmupl_exact(rho0, params, 0.0)
@@ -176,6 +204,19 @@ class TestClosedForms:
         ps, po = csl_flavor_probabilities(p, 1e4)
         assert ps == pytest.approx(0.5, abs=1e-9)
         assert po == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda: qmupl_flavor_probabilities(ModelParams(lam=1e308), [6.4]),
+        lambda: csl_flavor_probabilities(ModelParams(gamma=1e308, rC=1e-3), [6.4]),
+        lambda: flavor_record(ModelParams(gamma=1e308, rC=1e-3), [6.4], CSL),
+    ], ids=["qmupl", "csl", "record-csl"])
+    def test_overflowing_exponent_rejected(self, closed_form):
+        """The closed forms own the overflow rule of ``exact``: an infinite
+        damping exponent is a ParameterError, not a RuntimeWarning (QMUPL)
+        or a silent 1/2 (CSL)."""
+        with pytest.raises(ParameterError,
+                           match="damping exponent at t=6.4 overflows"):
+            closed_form()
 
     def test_envelopes_nonincreasing(self):
         t = np.linspace(0.0, 30.0, 301)
